@@ -11,23 +11,16 @@
 //!   `SimConfig::with_reference_picks(true)` for differential testing.
 //!
 //! Each row also times the intra-run partition pool (`sim_threads = 2`,
-//! DESIGN.md §17) against the serial epoch loop on the indexed build —
-//! `thread_speedup` > 1 means the pool wins on this host. The pool is
-//! bit-exact with serial, so the rep-determinism assertion doubles as a
-//! cross-thread-count determinism check. On single-core hosts (CI
-//! containers often are) the threaded rows measure pure barrier overhead;
-//! the row records `host_threads` so a reader can tell which regime
-//! produced it.
+//! DESIGN.md §17) against a serial run of the same epoch loop on the
+//! indexed build — `thread_speedup` > 1 means the pool wins on this host.
+//! The pool is bit-exact with serial, so the rep-determinism assertion
+//! doubles as a cross-thread-count determinism check. On single-core hosts
+//! the threaded rows measure pure barrier overhead; the report records
+//! `host_threads` and the measuring `commit` so a reader can tell which
+//! regime and which build produced it.
 //!
 //! Both modes run on the *current* build, so their ratio isolates the
-//! pick-path indexing alone. The overall PR-4 trajectory additionally
-//! includes the queue/hashing overhaul and the release-profile LTO tuning,
-//! which speed up both modes equally; to keep that visible, the report also
-//! embeds the per-rep seconds measured at the pre-overhaul seed commit
-//! (`eabfeb8`, same machine class, Small scale, WG-W, seed 11) and the
-//! resulting end-to-end speedup. Those baseline constants are a recorded
-//! measurement, not something this binary can reproduce — they are only
-//! emitted at Small scale, where they were taken.
+//! pick-path indexing alone.
 //!
 //! Each benchmark runs one untimed warm-up per mode, then `reps` timed
 //! runs; the reported figure is the median, so one scheduling-noise
@@ -43,6 +36,7 @@ use ldsim_types::kernel::KernelProgram;
 use ldsim_util::json::JsonObject;
 use ldsim_workloads::{benchmark, Scale};
 use std::io::Write;
+use std::process::{Command, Stdio};
 use std::time::Instant;
 
 /// Busy benchmarks: every irregular workload whose run is dominated by
@@ -50,35 +44,23 @@ use std::time::Instant;
 /// excluded — it finishes in milliseconds and times pure noise).
 const BUSY: &[&str] = &["sp", "kmeans", "spmv", "sssp", "bfs"];
 
-/// Per-rep seconds at the seed commit (`eabfeb8`): Small scale, WG-W,
-/// seed 11, 70% instruction budget, release build, 20-rep average.
-fn seed_baseline_small_s(bench: &str) -> Option<f64> {
-    match bench {
-        "sp" => Some(0.2359),
-        "kmeans" => Some(0.1282),
-        "spmv" => Some(0.0929),
-        "sssp" => Some(0.0739),
-        "bfs" => Some(0.0234),
-        _ => None,
-    }
-}
-
 /// Thread count for the timed threaded rows: 2 keeps the pool meaningful
 /// on small CI hosts without oversubscribing them (the simulator caps at
 /// the partition count anyway).
 const TIMED_SIM_THREADS: usize = 2;
 
-/// Deterministic epoch-barrier accounting for one (kernel, scheduler) at
-/// the timed thread count — cycle and barrier *counts*, not wall clock, so
+/// Deterministic epoch-window accounting for one (kernel, scheduler) at
+/// the timed thread count — cycle and hand-off *counts*, not wall clock, so
 /// the figures are identical on any host (1-core CI included) and CI can
-/// gate on them.
+/// gate on them. Each window is one hand-off (a pool barrier when
+/// threaded).
 struct SyncProfile {
-    /// Barriers per thousand simulated cycles, auto epoch window.
+    /// Hand-offs per thousand simulated cycles, auto epoch window.
     epoch_per_kcycle: f64,
-    /// Same, with the window forced to the per-cycle cadence
-    /// (`epoch_max = 1` — the pre-epoch pool behaviour).
+    /// Same at the reference cadence (`epoch_max = 1`: one-cycle windows,
+    /// one hand-off per stepped cycle).
     percycle_per_kcycle: f64,
-    /// `percycle / epoch` barrier-count ratio: the amortization factor.
+    /// `percycle / epoch` hand-off ratio: the amortization factor.
     barrier_cut: f64,
     /// Mean epoch window length in cycles.
     mean_window: f64,
@@ -102,13 +84,26 @@ fn sync_profile(kernel: &KernelProgram, kind: SchedulerKind) -> SyncProfile {
         r_epoch, r_cycle,
         "{kind:?}: epoch cadence changed the simulated work — must be bit-exact"
     );
-    assert!(epoch.windows > 0, "{kind:?}: epoch windows never engaged");
     SyncProfile {
-        epoch_per_kcycle: 1000.0 * epoch.barriers as f64 / r_epoch.cycles as f64,
-        percycle_per_kcycle: 1000.0 * cycle.barriers as f64 / r_cycle.cycles as f64,
-        barrier_cut: cycle.barriers as f64 / epoch.barriers as f64,
+        epoch_per_kcycle: 1000.0 * epoch.windows as f64 / r_epoch.cycles as f64,
+        percycle_per_kcycle: 1000.0 * cycle.windows as f64 / r_cycle.cycles as f64,
+        barrier_cut: cycle.windows as f64 / epoch.windows as f64,
         mean_window: epoch.epoch_cycles as f64 / epoch.windows as f64,
     }
+}
+
+/// The commit this report measures (short hash, `-dirty` when the
+/// working tree has uncommitted changes), or a note when the working
+/// directory is not a git checkout.
+fn commit() -> String {
+    Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .stderr(Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown (not a git checkout)".into())
 }
 
 /// Median of `reps` timed runs of one (kernel, mode, thread count), after
@@ -166,14 +161,12 @@ fn main() {
         "pick speedup",
         "threaded s/rep",
         "thread speedup",
-        "seed baseline s",
-        "total speedup",
     ]);
     let mut sync_t = Table::new(&[
         "benchmark",
         "mean epoch (cyc)",
         "barriers/kcyc epoch",
-        "barriers/kcyc per-cycle",
+        "barriers/kcyc W=1",
         "WG-W cut",
         "GMC cut",
     ]);
@@ -187,12 +180,6 @@ fn main() {
             time_runs(&kernel, kind, false, TIMED_SIM_THREADS, reps, Some(cycles));
         let pick_speedup = reference_s / indexed_s;
         let thread_speedup = indexed_s / threaded_s;
-        let baseline = if scale == Scale::Small {
-            seed_baseline_small_s(bench)
-        } else {
-            None
-        };
-        let total_speedup = baseline.map(|b| b / indexed_s);
         t.row(vec![
             bench.to_string(),
             format!("{indexed_s:.4}"),
@@ -200,14 +187,12 @@ fn main() {
             format!("{pick_speedup:.2}x"),
             format!("{threaded_s:.4}"),
             format!("{thread_speedup:.2}x"),
-            baseline.map_or("-".into(), |b| format!("{b:.4}")),
-            total_speedup.map_or("-".into(), |s| format!("{s:.2}x")),
         ]);
-        // Barrier amortization (DESIGN.md §18), reported for both step
-        // topologies: the coordinating WG-W (window clamped to the
-        // coordination latency, per-cycle cost of two barriers per cycle)
-        // and the non-coordinating GMC (full crossbar lookahead — the
-        // headline ≥10x figure CI gates on).
+        // Barrier amortization (DESIGN.md §18), reported for both window
+        // bounds: the coordinating WG-W (window clamped to the 4-cycle
+        // coordination latency, so its ceiling is 4x) and the
+        // non-coordinating GMC (full crossbar lookahead — the headline
+        // ≥10x figure CI gates on).
         let wgw_sync = sync_profile(&kernel, kind);
         let gmc_sync = sync_profile(&kernel, SchedulerKind::Gmc);
         sync_t.row(vec![
@@ -231,10 +216,6 @@ fn main() {
             .f64("barriers_per_kcycle_percycle", wgw_sync.percycle_per_kcycle)
             .f64("barrier_cut", wgw_sync.barrier_cut)
             .f64("gmc_barrier_cut", gmc_sync.barrier_cut);
-        match (baseline, total_speedup) {
-            (Some(b), Some(s)) => row.f64("seed_baseline_s", b).f64("total_speedup", s),
-            _ => row.null("seed_baseline_s").null("total_speedup"),
-        };
         rows.push(row.build());
     }
 
@@ -243,22 +224,24 @@ fn main() {
     println!(
         "\npick speedup = reference/indexed on this build; thread speedup = \
          serial / {TIMED_SIM_THREADS}-thread partition pool (host has {host_threads} \
-         core(s)); total speedup = seed-commit baseline / indexed (Small only, \
-         where the baseline was measured)."
+         core(s))."
     );
 
-    println!("\nepoch barrier amortization — {TIMED_SIM_THREADS}-thread pool, auto window vs per-cycle cadence\n");
+    println!("\nepoch barrier amortization — {TIMED_SIM_THREADS}-thread pool, auto window vs W=1 cadence\n");
     sync_t.print();
     println!(
-        "\ncut = per-cycle barriers / epoch barriers (deterministic counts, \
+        "\ncut = W=1 barriers / epoch barriers (deterministic counts, \
          host-independent); WG-W columns use the WG-W run above, GMC cut is \
          the non-coordinating headline CI gates on (DESIGN.md §18)."
     );
 
+    // A git description or the fixed fallback note: neither needs JSON
+    // escaping.
     let doc = format!(
         "{{\"report\":\"perfreport\",\"scale\":\"{scale:?}\",\"seed\":{seed},\
          \"scheduler\":\"{kind:?}\",\"reps\":{reps},\"host_threads\":{host_threads},\
-         \"baseline_commit\":\"eabfeb8\",\"rows\":[{}]}}",
+         \"commit\":\"{}\",\"rows\":[{}]}}",
+        commit(),
         rows.join(",")
     );
     let path = "BENCH_perf.json";

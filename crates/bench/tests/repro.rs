@@ -47,7 +47,7 @@ fn read(dir: &Path, file: &str) -> String {
 fn cold_and_warm_renders_are_byte_identical_with_trace_hashes() {
     let _guard = OPTS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tmp("repro-coldwarm");
-    let cache = dir.join("cellcache.jsonl");
+    let cache = dir.join("cellcache");
     let (scale, seed) = (Scale::Tiny, 11);
     // fig04 includes a tweaked cell (perfect coalescing) and the
     // ZeroDivergence scheduler; fig10 is a full PAPER_SCHEDULERS grid.
@@ -98,7 +98,7 @@ fn cold_and_warm_renders_are_byte_identical_with_trace_hashes() {
 fn run_options_partition_the_cache() {
     let _guard = OPTS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tmp("repro-opts");
-    let cache = dir.join("cellcache.jsonl");
+    let cache = dir.join("cellcache");
     let specs = specs_named(Scale::Tiny, 13, &["fig02"]);
     let cells: Vec<_> = specs.iter().flat_map(|s| s.cells.iter().copied()).collect();
     let cfg = SweepConfig {

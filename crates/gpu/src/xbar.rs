@@ -154,19 +154,6 @@ impl<T> Crossbar<T> {
         }
     }
 
-    /// Put a drained payload back at the head of the flight queue (the
-    /// inverse of [`Self::drain_arrivals_before`], for arrivals a window
-    /// closed on while the destination was still full). Callers re-insert
-    /// in reverse grant order so the queue's grant order — and its
-    /// monotone-arrival invariant — is restored.
-    pub fn requeue_front(&mut self, arrive: Cycle, dst: usize, payload: T) {
-        debug_assert!(
-            self.flight.front().is_none_or(|&(a, _, _)| arrive <= a),
-            "requeue_front would break the flight queue's arrival order"
-        );
-        self.flight.push_front((arrive, dst, payload));
-    }
-
     /// The earliest in-flight arrival cycle, ignoring queued (ungranted)
     /// heads — `None` when nothing is flying. Unlike [`Self::next_event`]
     /// this is *not* clamped to any `now`: the epoch scheduler compares it

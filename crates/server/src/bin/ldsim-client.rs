@@ -9,7 +9,7 @@
 
 use ldsim_bench::{cli_fail, cli_parse, cli_pos, cli_value};
 use ldsim_server::wire;
-use ldsim_system::shard::{compact_file, ShardMap};
+use ldsim_system::shard::ShardMap;
 use ldsim_system::ENGINE_SALT_HISTORY;
 use std::io::{BufRead, Write as _};
 use std::path::PathBuf;
@@ -193,11 +193,13 @@ fn main() {
         "compact" => match &o.cache {
             // Offline: compact a local store directly, no server needed.
             Some(path) => {
-                let stats = if path.extension().is_some_and(|e| e == "jsonl") {
-                    compact_file(path, ENGINE_SALT_HISTORY)
-                } else {
-                    ShardMap::open(path, o.shards).compact(ENGINE_SALT_HISTORY)
-                };
+                if path.is_file() {
+                    runtime_fail(&format!(
+                        "--cache {} is a file; the cell store is a shard directory",
+                        path.display()
+                    ));
+                }
+                let stats = ShardMap::open(path, o.shards).compact(ENGINE_SALT_HISTORY);
                 println!(
                     "compacted {}: kept {}, dropped {} (stale {}, torn {}, superseded {}, \
                      misplaced {}), {} -> {} bytes",

@@ -84,11 +84,26 @@ fn client_rejects_bad_arguments_with_named_errors() {
 #[test]
 fn client_runtime_failures_exit_one_without_usage() {
     let bin = env!("CARGO_BIN_EXE_ldsim-client");
-    // Port 1 on loopback: connection refused, immediately.
-    let out = run(bin, &["ping", "--port", "1"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-    assert!(stderr.starts_with("error: "), "stderr: {stderr}");
-    assert!(!stderr.contains("usage:"), "stderr: {stderr}");
-    assert!(!stderr.contains("panicked at"), "stderr: {stderr}");
+    // The cell store is a shard directory: a `--cache` path that is a
+    // file is refused by name.
+    let file = std::env::temp_dir().join(format!("ldsim-cli-cache-{}.jsonl", std::process::id()));
+    std::fs::write(&file, "").unwrap();
+    let file_arg = file.to_str().unwrap();
+    for (args, names) in [
+        // Port 1 on loopback: connection refused, immediately.
+        (&["ping", "--port", "1"][..], "error: "),
+        (&["compact", "--cache", file_arg][..], "--cache"),
+    ] {
+        let out = run(bin, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: stderr: {stderr}");
+        assert!(stderr.contains(names), "{args:?}: stderr: {stderr}");
+        assert!(!stderr.contains("usage:"), "{args:?}: stderr: {stderr}");
+        assert!(
+            !stderr.contains("panicked at"),
+            "{args:?}: stderr: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&file);
 }

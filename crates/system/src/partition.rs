@@ -40,7 +40,7 @@ pub struct Partition {
     /// cycle they were staged (tags are monotone — pushes happen in cycle
     /// order). The hub drains entries tagged `<= now`, so a multi-cycle
     /// free-run can stage several cycles' worth and the hub replay still
-    /// injects each at the cycle the serial loop would have.
+    /// injects each at the cycle it was staged.
     pub to_sm: VecDeque<(Cycle, usize, SmResponse)>,
     next_wb_id: u64,
     /// Cycles (sampled) with at least one DRAM bank open, for power.
@@ -49,14 +49,14 @@ pub struct Partition {
     /// Controller read-queue depth sampled on the same 512-cycle cadence as
     /// the activity samples (None = zero cost). Observation-only.
     depth_hist: Option<Box<Histogram>>,
-    // --- epoch-step staging (see `Simulator::step`) ---
+    // --- epoch-window staging (see `Simulator::run_epoch`) ---
     //
-    // When partitions step concurrently between epoch barriers, anything a
-    // partition would have pushed into simulator-owned state mid-phase is
-    // staged in these partition-owned buffers instead, and the main thread
-    // drains them in channel-id order at the barrier — reproducing the
-    // serial loop's ordering exactly.
-    /// This epoch's drained DRAM responses (scratch, reused every cycle).
+    // A partition free-runs a window without touching simulator-owned
+    // state: anything hub-bound is staged, cycle-tagged, in these
+    // partition-owned buffers, and the hub drains them in channel-id order
+    // as it replays the window — so serial and pooled runs commit the
+    // same order.
+    /// This cycle's drained DRAM responses (scratch, reused every cycle).
     resp_buf: Vec<MemResponse>,
     /// Per-cycle coordination-drain scratch (reused).
     coord_buf: Vec<CoordMsg>,
@@ -67,20 +67,20 @@ pub struct Partition {
     /// tagged with their emission cycle (monotone; the event's own `cycle`
     /// field carries the DRAM `done_cycle`, which may lag the emission).
     pub(crate) epoch_events: VecDeque<(Cycle, WgEvent)>,
-    // --- multi-cycle epoch windows (see `Simulator::run_epoch`) ---
-    /// Crossbar deliveries pre-distributed at the window's opening barrier:
+    /// Crossbar deliveries pre-distributed at the window's opening hand-off:
     /// `(arrival_cycle, global_grant_seq, request)` in grant order. The
     /// free-run applies each at its arrival cycle, subject to this
-    /// partition's own input back-pressure — exactly the serial crossbar's
-    /// blocked-retry behaviour, which is destination-local.
+    /// partition's own input back-pressure — exactly the crossbar's
+    /// blocked-retry behaviour, which is destination-local. Arrivals still
+    /// held back when a window closes wait here for the next one.
     pub(crate) epoch_arrivals: VecDeque<(Cycle, u64, MemRequest)>,
     /// Read deliveries actually performed during the free-run:
     /// `(delivery_cycle, global_grant_seq, warp_group)`. The hub replay
     /// merges these across partitions by `(cycle, seq)` to reproduce the
-    /// serial loop's `Arrive` trace order and read-conservation counts.
+    /// crossbar's `Arrive` trace order and read-conservation counts.
     pub(crate) epoch_arrive_log: VecDeque<(Cycle, u64, ldsim_types::ids::WarpGroupId)>,
     /// Coordination messages pre-distributed at the window's opening
-    /// barrier, tagged with their committed delivery cycle (monotone).
+    /// hand-off, tagged with their committed delivery cycle (monotone).
     pub(crate) epoch_coord_in: VecDeque<(Cycle, CoordMsg)>,
 }
 
@@ -158,12 +158,10 @@ impl Partition {
         self.input.push_back(req);
     }
 
-    /// Epoch phase A: tick the controller and (for coordinating
-    /// schedulers) stage its outbound coordination messages in
-    /// [`Self::epoch_coord`] for the hub to broadcast at the barrier.
-    /// Touches only this partition's state, so partitions can run it
-    /// concurrently.
-    pub(crate) fn epoch_ctrl_tick(&mut self, now: Cycle, coordinating: bool) {
+    /// Tick the controller and (for coordinating schedulers) stage its
+    /// outbound coordination messages in [`Self::epoch_coord`] for the hub
+    /// to broadcast.
+    fn epoch_ctrl_tick(&mut self, now: Cycle, coordinating: bool) {
         self.ctrl.tick(now);
         if coordinating {
             self.ctrl.drain_coord(&mut self.coord_buf);
@@ -173,12 +171,10 @@ impl Partition {
         }
     }
 
-    /// Epoch phase C: apply this cycle's completed DRAM reads (staging a
-    /// `Serve` trace event per response when tracing) and run the L2-slice
-    /// tick. Like phase A, this reads and writes only partition-owned
-    /// state — SM-bound responses land in `to_sm`, which the hub drains
-    /// after the barrier.
-    pub(crate) fn epoch_serve_and_tick(&mut self, now: Cycle, trace_on: bool) {
+    /// Apply this cycle's completed DRAM reads (staging a `Serve` trace
+    /// event per response when tracing) and run the L2-slice tick.
+    /// SM-bound responses land in `to_sm`, which the hub drains.
+    fn epoch_serve_and_tick(&mut self, now: Cycle, trace_on: bool) {
         self.resp_buf.clear();
         self.ctrl.drain_responses(&mut self.resp_buf);
         for i in 0..self.resp_buf.len() {
@@ -200,33 +196,44 @@ impl Partition {
     }
 
     /// Free-run this partition's cycles `[now, end)` without touching any
-    /// shared state — the body of a multi-cycle conservative epoch
-    /// (DESIGN.md §18). Pre-distributed crossbar arrivals
+    /// shared state — the body of a conservative epoch window, one cycle
+    /// long or many (DESIGN.md §18). Pre-distributed crossbar arrivals
     /// ([`Self::epoch_arrivals`]) and coordination deliveries
     /// ([`Self::epoch_coord_in`]) are applied at their committed cycles —
     /// arrivals subject to this partition's own input back-pressure, which
     /// replays the crossbar's destination-local blocked-retry behaviour.
     /// Everything the hub needs afterwards (SM responses, trace events,
     /// outbound coordination, the arrive log) is staged cycle-tagged in
-    /// partition-owned buffers. Locally idle stretches are skipped under
-    /// the same per-component `next_event` contract the global
-    /// fast-forward relies on, replaying 512-cycle activity samples in
-    /// bulk.
-    pub(crate) fn free_run(&mut self, now: Cycle, end: Cycle, coordinating: bool, trace_on: bool) {
+    /// partition-owned buffers. With `skip_idle` (the config's
+    /// `fast_forward`), locally idle stretches are skipped under the same
+    /// per-component `next_event` contract the global fast-forward relies
+    /// on, replaying 512-cycle activity samples in bulk; without it every
+    /// cycle is ticked, so the non-skipping reference never depends on
+    /// that contract.
+    pub(crate) fn free_run(
+        &mut self,
+        now: Cycle,
+        end: Cycle,
+        coordinating: bool,
+        trace_on: bool,
+        skip_idle: bool,
+    ) {
         let mut c = now;
         while c < end {
-            match self.local_horizon(c) {
-                None => {
-                    self.replay_samples(c, end);
-                    return;
+            if skip_idle {
+                match self.local_horizon(c) {
+                    None => {
+                        self.replay_samples(c, end);
+                        return;
+                    }
+                    Some(h) if h > c => {
+                        let t = h.min(end);
+                        self.replay_samples(c, t);
+                        c = t;
+                        continue;
+                    }
+                    _ => {}
                 }
-                Some(h) if h > c => {
-                    let t = h.min(end);
-                    self.replay_samples(c, t);
-                    c = t;
-                    continue;
-                }
-                _ => {}
             }
             self.epoch_ctrl_tick(c, coordinating);
             while let Some(&(deliver_at, msg)) = self.epoch_coord_in.front() {
@@ -256,8 +263,8 @@ impl Partition {
 
     /// Earliest cycle in a free-run at which this partition's own state
     /// can change. Unlike [`Self::next_event`], staged SM responses do
-    /// *not* pin `now`: the hub drains `to_sm` at the closing barrier and
-    /// no partition phase reads it.
+    /// *not* pin `now`: the hub drains `to_sm` as it replays the window
+    /// and nothing in the free-run reads it.
     fn local_horizon(&self, now: Cycle) -> Option<Cycle> {
         if !self.input.is_empty() {
             return Some(now);
@@ -279,8 +286,8 @@ impl Partition {
         ev
     }
 
-    /// Bulk-replay the 512-cycle activity samples the per-cycle loop would
-    /// have taken across the locally idle cycles `[from, to)`.
+    /// Bulk-replay the 512-cycle activity samples that ticking would have
+    /// taken across the locally idle cycles `[from, to)`.
     fn replay_samples(&mut self, from: Cycle, to: Cycle) {
         let n = to / 512 - from / 512;
         if n > 0 {

@@ -1,6 +1,5 @@
 //! The sharded cell log: the on-disk half of the content-addressed cell
-//! cache, grown from one append-only `cellcache.jsonl` into N shard files
-//! plus a crash-safe compaction pass.
+//! cache, N append-only shard files plus a crash-safe compaction pass.
 //!
 //! ## Layout
 //!
@@ -12,8 +11,8 @@
 //! <dir>/shard-0001-of-0008.jsonl    ...
 //! ```
 //!
-//! Every row is the same self-describing JSONL line the single-file cache
-//! wrote (see [`crate::sweep::cache_row`]): FNV-1a cellkey, engine salt,
+//! Every row is one self-describing JSONL line (see
+//! [`crate::sweep::cache_row`]): FNV-1a cellkey, engine salt,
 //! config fingerprint, full [`RunResult`](crate::RunResult). The shard of
 //! a row is `cellkey % shards` — the FNV keyspace is uniform, so shards
 //! stay balanced without any placement logic. The shard count is fixed at
@@ -201,34 +200,17 @@ impl ShardMap {
         assert!(!history.is_empty(), "salt history cannot be empty");
         let mut stats = CompactStats::default();
         for i in 0..self.shards {
-            compact_one_file(&self.shard_path(i), history, Some((i, self)), &mut stats);
+            compact_shard(self, i, history, &mut stats);
         }
         stats
     }
 }
 
-/// Compact a legacy single-file cell log (`cellcache.jsonl`) in place:
-/// the same newest-row-per-key + salt-generation eviction policy as
-/// [`ShardMap::compact`], minus the misplacement check (a single file
-/// holds the whole keyspace). Crash-safe via the same temp+rename. A
-/// missing file is a no-op.
-pub fn compact_file(path: &Path, history: &[&str]) -> CompactStats {
-    assert!(!history.is_empty(), "salt history cannot be empty");
-    let mut stats = CompactStats::default();
-    compact_one_file(path, history, None, &mut stats);
-    stats
-}
-
-/// Shared compaction body: rewrite one append-only log file keeping the
-/// newest valid row per key. `placement` carries the (shard index, map)
-/// pair when the file is one shard of a [`ShardMap`].
-fn compact_one_file(
-    path: &Path,
-    history: &[&str],
-    placement: Option<(usize, &ShardMap)>,
-    stats: &mut CompactStats,
-) {
-    let text = match std::fs::read_to_string(path) {
+/// Compaction body for one shard of `map`: rewrite it keeping the newest
+/// valid row per key. A missing shard is a no-op.
+fn compact_shard(map: &ShardMap, shard: usize, history: &[&str], stats: &mut CompactStats) {
+    let path = map.shard_path(shard);
+    let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return,
         Err(e) => panic!("cannot read cell log {}: {e}", path.display()),
@@ -241,12 +223,10 @@ fn compact_one_file(
     for (idx, line) in text.lines().enumerate() {
         match classify(line, history) {
             RowVerdict::Keep(key) => {
-                if let Some((shard, map)) = placement {
-                    if map.shard_of(key) != shard {
-                        stats.rows_misplaced += 1;
-                        verdicts.push(None);
-                        continue;
-                    }
+                if map.shard_of(key) != shard {
+                    stats.rows_misplaced += 1;
+                    verdicts.push(None);
+                    continue;
                 }
                 if keep.insert(key, idx).is_some() {
                     stats.rows_superseded += 1;
@@ -284,7 +264,7 @@ fn compact_one_file(
         f.sync_all()
             .unwrap_or_else(|e| panic!("cannot sync {}: {e}", tmp.display()));
     }
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, &path)
         .unwrap_or_else(|e| panic!("cannot commit compacted log {}: {e}", path.display()));
 }
 

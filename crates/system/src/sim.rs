@@ -15,22 +15,18 @@ use ldsim_types::kernel::KernelProgram;
 use ldsim_util::{BarrierPool, FnvHashSet};
 use ldsim_warpsched::{make_policy, CoordNetwork};
 
-/// Synchronization accounting for a run: how often the partition pool had
-/// to rendezvous with the hub, and how much of the run was covered by
-/// multi-cycle epoch windows. Returned by
-/// [`Simulator::run_with_sync_stats`]; deliberately *not* part of
-/// [`RunResult`], which is compared bit-for-bit across execution
-/// strategies.
+/// Synchronization accounting for a run: how often the partitions had to
+/// rendezvous with the hub, and how many cycles those epoch windows
+/// covered. Returned by [`Simulator::run_with_sync_stats`]; deliberately
+/// *not* part of [`RunResult`], which is compared bit-for-bit across
+/// execution strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SyncStats {
-    /// Partition-phase hand-off points (pool barriers when threaded): 2 per
-    /// per-cycle step under a coordinating scheduler, 1 per per-cycle step
-    /// otherwise, and 1 per multi-cycle epoch window regardless.
-    pub barriers: u64,
-    /// Multi-cycle epoch windows executed.
+    /// Epoch windows executed — one partition hand-off each (a pool
+    /// barrier when threaded).
     pub windows: u64,
-    /// Cycles covered by multi-cycle epoch windows (so
-    /// `epoch_cycles / windows` is the mean window length).
+    /// Cycles covered by the windows (so `epoch_cycles / windows` is the
+    /// mean window length); fast-forwarded cycles lie in no window.
     pub epoch_cycles: u64,
 }
 
@@ -59,17 +55,16 @@ pub struct Simulator {
     zero_div: bool,
     fast_seen: FnvHashSet<WarpGroupId>,
     benchmark: String,
-    /// Intra-run partition pool: `None` runs the partition epochs inline
-    /// in channel order (the serial reference), `Some` stripes them over
-    /// persistent workers with a barrier at every crossbar hand-off —
-    /// bit-exact with serial by construction (see DESIGN.md §17). Width
-    /// resolves from `cfg.sim_threads`, falling back to the process-wide
-    /// `--threads` / `LDSIM_SIM_THREADS` setting, capped at the partition
-    /// count; the default is serial.
+    /// Intra-run partition pool: `None` free-runs the partitions inline
+    /// in channel order, `Some` stripes them over persistent workers with
+    /// one barrier per epoch window — bit-exact with serial by
+    /// construction (see DESIGN.md §17). Width resolves from
+    /// `cfg.sim_threads`, falling back to the process-wide `--threads` /
+    /// `LDSIM_SIM_THREADS` setting, capped at the partition count; the
+    /// default is serial.
     pool: Option<BarrierPool>,
-    // Scratch buffers reused every cycle.
+    // Scratch buffer reused every cycle.
     sm_out: Vec<ldsim_types::req::MemRequest>,
-    room_buf: Vec<usize>,
     // Conservation counters (always on; two u64 increments per event).
     mem_read_requests: u64,
     mem_read_responses: u64,
@@ -86,8 +81,10 @@ pub struct Simulator {
     /// Scratch for per-SM [`Sm::budget_lookahead`] triples, reused by the
     /// epoch window's instruction-budget bound.
     budget_buf: Vec<(u64, u64, u64)>,
+    /// Next global grant sequence number for request-crossbar arrivals
+    /// pre-distributed to the partitions (see [`Self::run_epoch`]).
+    grant_seq: u64,
     // Synchronization accounting (see [`SyncStats`]).
-    sync_barriers: u64,
     epoch_windows: u64,
     epoch_cycles: u64,
 }
@@ -96,7 +93,23 @@ impl Simulator {
     /// Build a simulator for `kernel` under `cfg`. The number of SMs is
     /// taken from the kernel (one program list per SM); `cfg.gpu.num_sms`
     /// is updated to match.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.gpu.xbar_latency` or `cfg.mem.coord_latency` is zero. The
+    /// epoch loop's lookahead is those latencies: a zero-latency crossbar
+    /// would deliver inside the window that granted it, and a zero-latency
+    /// coordination hop would land in the cycle it was sent, which every
+    /// window (W = 1 included) defers to the next cycle (DESIGN.md §18).
     pub fn new(mut cfg: SimConfig, kernel: &KernelProgram) -> Self {
+        assert!(
+            cfg.gpu.xbar_latency >= 1,
+            "xbar_latency must be at least 1 cycle: the epoch loop needs crossbar lookahead"
+        );
+        assert!(
+            cfg.mem.coord_latency >= 1,
+            "coord_latency must be at least 1 cycle: the epoch loop needs coordination lookahead"
+        );
         cfg.gpu.num_sms = kernel.programs.len();
         let mapper = AddressMapper::new(&cfg.mem, cfg.gpu.l1.line_bytes);
         let timing = cfg.mem.timing.in_cycles(cfg.clock);
@@ -190,14 +203,13 @@ impl Simulator {
             cfg,
             pool,
             sm_out: Vec::new(),
-            room_buf: Vec::new(),
             mem_read_requests: 0,
             mem_read_responses: 0,
             lost_requests: 0,
             wg_events: Vec::new(),
             resp_arrival_buf: Vec::new(),
             budget_buf: Vec::new(),
-            sync_barriers: 0,
+            grant_seq: 0,
             epoch_windows: 0,
             epoch_cycles: 0,
         }
@@ -230,61 +242,42 @@ impl Simulator {
     }
 
     /// Like [`Self::run`], but also returns the run's [`SyncStats`] —
-    /// barrier/epoch accounting for the perf report and the CI gate. The
+    /// epoch-window accounting for the perf report and the CI gate. The
     /// `RunResult` is identical to every other flavour's.
     pub fn run_with_sync_stats(mut self) -> (RunResult, SyncStats) {
         let (end, finished) = self.run_core();
         let stats = SyncStats {
-            barriers: self.sync_barriers,
             windows: self.epoch_windows,
             epoch_cycles: self.epoch_cycles,
         };
         (self.collect(end, finished), stats)
     }
 
-    /// The main loop, shared by every run flavour. Steps cycle by cycle,
-    /// sampling bank activity every 512th *completed* cycle (the first
-    /// sample reflects cycle 511, not the trivially-idle cycle 0). When
-    /// `cfg.fast_forward` is set, cycles in which no component can make
-    /// progress are skipped in one jump to the event horizon — bit-exact
-    /// with the reference loop because every per-cycle side effect of an
-    /// idle tick (crossbar round-robin rotation, SM port/idle counters,
-    /// activity-sample cadence) is replayed in closed form by the
-    /// components' `skip` hooks.
+    /// The main loop, shared by every run flavour, serial or pooled: it
+    /// advances in conservative epoch windows ([`Self::epoch_window`],
+    /// [`Self::run_epoch`]), with the partitions sampling bank activity
+    /// every 512th *completed* cycle (the first sample reflects cycle 511,
+    /// not the trivially-idle cycle 0). When `cfg.fast_forward` is set,
+    /// cycles in which no component can make progress are skipped in one
+    /// jump to the event horizon, and each partition skips its own idle
+    /// stretches inside a window — bit-exact with ticking them because
+    /// every per-cycle side effect of an idle tick (crossbar round-robin
+    /// rotation, SM port/idle counters, activity-sample cadence) is
+    /// replayed in closed form by the components' `skip` hooks. When it is
+    /// off, every partition, crossbar and SM ticks every cycle.
     fn run_core(&mut self) -> (Cycle, bool) {
         let mut now: Cycle = 0;
         let mut finished = false;
         let limit = self.cfg.instruction_limit.unwrap_or(u64::MAX);
         let fast_forward = self.cfg.fast_forward;
-        // Multi-cycle epochs engage only when the partition pool exists
-        // (threads > 1 — serial stays the per-cycle reference), isn't
-        // forced per-cycle by `epoch_max = 1`, and the scheduler isn't
-        // ZeroDivergence (its global first-arrival set is fed in
-        // cross-partition delivery order, which a free-run can't replay).
-        let epochs_on = self.pool.is_some() && self.cfg.epoch_max != 1 && !self.zero_div;
         while now < self.cfg.max_cycles {
-            let w = if epochs_on {
-                self.epoch_window(now, limit)
-            } else {
-                1
-            };
-            if w <= 1 {
-                self.step(now);
-                if (now + 1).is_multiple_of(512) {
-                    for p in &mut self.partitions {
-                        p.sample_activity();
-                    }
-                }
-            } else {
-                // Covers cycles [now, now + w); the partitions sample their
-                // own activity cadence inside the free-run. Leave `now` at
-                // the window's last cycle so the exit checks below see the
-                // same cycle number the per-cycle loop would have exited
-                // at — the window bounds guarantee neither check could
-                // have fired earlier in the window.
-                self.run_epoch(now, now + w);
-                now += w - 1;
-            }
+            // Covers cycles [now, now + w). Leave `now` at the window's
+            // last cycle so the exit checks below see the cycle number a
+            // W = 1 cadence would have exited at — the window bounds
+            // guarantee neither check could have fired earlier in it.
+            let w = self.epoch_window(now, limit);
+            self.run_epoch(now, now + w);
+            now += w - 1;
             if self.sms.iter().all(|s| s.done()) {
                 finished = true;
                 break;
@@ -352,7 +345,7 @@ impl Simulator {
         }
         self.req_xbar.skip(delta);
         self.resp_xbar.skip(delta);
-        // Activity samples land after the step of every cycle c with
+        // Activity samples land at the end of every cycle c with
         // (c + 1) % 512 == 0; the skipped range contains
         // target/512 - now/512 of them, all observing the same (frozen)
         // bank state.
@@ -364,39 +357,33 @@ impl Simulator {
         }
     }
 
-    /// Run `f` over every partition: inline in channel order when serial,
-    /// striped over the barrier pool when threaded. Both orders commit the
-    /// same per-partition state because `f` touches only the partition it
-    /// is handed — anything hub-bound is staged in partition-owned buffers
-    /// and merged in channel order after the barrier.
-    fn each_partition(&mut self, f: impl Fn(&mut Partition) + Sync) {
-        match &self.pool {
-            Some(pool) => pool.run_disjoint(&mut self.partitions, |_, p| f(p)),
-            None => self.partitions.iter_mut().for_each(f),
-        }
-    }
-
-    /// The conservative multi-cycle window `W`: partitions may free-run
-    /// cycles `[now, now + W)` between barriers because no cross-component
+    /// The conservative window `W ≥ 1`: partitions may free-run cycles
+    /// `[now, now + W)` between hand-offs because no cross-component
     /// interaction that isn't already committed can land inside the window
     /// (DESIGN.md §18). The bounds, in order:
     ///
+    /// * **ZeroDivergence** — `W = 1`: the hub fast-tracks a group's later
+    ///   siblings in global delivery order, which must happen before their
+    ///   partition ticks again (see [`Self::run_epoch`]).
     /// * **Crossbar lookahead** — a request granted at cycle `c ≥ now`
     ///   arrives at `c + xbar_latency ≥ now + W` for any
     ///   `W ≤ xbar_latency`; grants committed *before* the window are
-    ///   pre-distributed at the opening barrier, so they don't bound `W`.
+    ///   pre-distributed at the opening hand-off, so they don't bound `W`.
+    /// * **`epoch_max`** — the config cap (0 = auto).
     /// * **Coordination lookahead** — under a coordinating scheduler a
     ///   message emitted mid-window at `c` delivers at
     ///   `c + coord_latency ≥ now + W` for `W ≤ coord_latency`;
     ///   pre-window broadcasts are pre-distributed likewise.
-    /// * **`epoch_max`** — the config cap (0 = auto).
     /// * **Run-exit lookahead** — the cycle-limit, instruction-budget and
-    ///   all-warps-done checks fire at end of cycle in the per-cycle loop;
-    ///   `W` is clamped so none of them could have fired strictly inside
-    ///   the window, making the end-of-window check equivalent.
+    ///   all-warps-done checks fire at end of cycle at `W = 1`; `W` is
+    ///   clamped so none of them could have fired strictly inside the
+    ///   window, making the end-of-window check equivalent.
     fn epoch_window(&mut self, now: Cycle, limit: u64) -> Cycle {
+        if self.zero_div {
+            return 1;
+        }
         let mut w = self.cfg.gpu.xbar_latency;
-        if self.cfg.epoch_max > 1 {
+        if self.cfg.epoch_max > 0 {
             w = w.min(self.cfg.epoch_max);
         }
         if self.cfg.scheduler.coordinates() {
@@ -482,32 +469,40 @@ impl Simulator {
         bound.max(1)
     }
 
-    /// Run the multi-cycle conservative epoch `[now, end)` (DESIGN.md §18):
+    /// Run the conservative epoch `[now, end)` (DESIGN.md §18):
     /// pre-distribute every cross-partition delivery committed before the
     /// window, free-run all partitions across the whole window in a single
-    /// pool hand-off, then replay the hub (SMs, crossbars, coordination)
-    /// serially cycle by cycle, merging the staged per-partition results in
-    /// exactly the serial loop's order.
+    /// hand-off (inline in channel order when serial, striped over the
+    /// pool when threaded — a partition touches only its own state, so
+    /// both commit the same), then replay the hub (SMs, crossbars,
+    /// coordination) serially cycle by cycle, merging the staged
+    /// per-partition results in the `W = 1` cadence's order.
     fn run_epoch(&mut self, now: Cycle, end: Cycle) {
         let trace_on = self.cfg.trace;
         let coordinating = self.cfg.scheduler.coordinates();
-        self.sync_barriers += 1;
         self.epoch_windows += 1;
         self.epoch_cycles += end - now;
-        // --- opening barrier: pre-distribute committed deliveries ---
+        // --- opening hand-off: pre-distribute committed deliveries ---
         // Crossbar payloads due inside the window were all granted before
         // it opened (flight order = grant order), so their contents are
         // known here; only the exact delivery cycle under input
         // back-pressure is not, and that is destination-local, so each
-        // partition replays its own. The global grant sequence number lets
-        // the closing merge reconstruct the serial delivery order.
+        // partition replays its own. Each drain takes a prefix of the
+        // grant-ordered flight queue, so the global sequence number is
+        // grant order across windows too, and lets the hub replay
+        // reconstruct the crossbar's delivery order. Arrivals a full input
+        // buffer holds back past `end` simply stay queued in their
+        // partition, ahead of anything granted later — the crossbar's own
+        // per-destination order.
         {
             let partitions = &mut self.partitions;
-            let mut seq = 0u64;
+            let seq = &mut self.grant_seq;
             self.req_xbar
                 .drain_arrivals_before(end, |arrive, dst, req| {
-                    partitions[dst].epoch_arrivals.push_back((arrive, seq, req));
-                    seq += 1;
+                    partitions[dst]
+                        .epoch_arrivals
+                        .push_back((arrive, *seq, req));
+                    *seq += 1;
                 });
             if coordinating {
                 self.coord.drain_due_before(end, |deliver_at, dst, msg| {
@@ -515,14 +510,18 @@ impl Simulator {
                 });
             }
         }
-        // --- free-run: one barrier for the whole window ---
-        self.each_partition(|p| p.free_run(now, end, coordinating, trace_on));
+        // --- free-run: one hand-off for the whole window ---
+        let skip_idle = self.cfg.fast_forward;
+        let free_run = |p: &mut Partition| p.free_run(now, end, coordinating, trace_on, skip_idle);
+        match &self.pool {
+            Some(pool) => pool.run_disjoint(&mut self.partitions, |_, p| free_run(p)),
+            None => self.partitions.iter_mut().for_each(free_run),
+        }
         // --- hub replay: serial, cycle-exact ---
         for c in now..end {
             if coordinating {
                 // Broadcast the coordination messages the controllers
-                // emitted at cycle `c`, in channel order — the serial
-                // loop's phase-B position and order.
+                // emitted at cycle `c`, in channel order.
                 for (i, p) in self.partitions.iter_mut().enumerate() {
                     while let Some(&(tag, _)) = p.epoch_coord.front() {
                         if tag > c {
@@ -551,8 +550,13 @@ impl Simulator {
             }
             // This cycle's read deliveries, merged across partitions by
             // global grant sequence — the flight queue is always a
-            // grant-order subsequence, so within a cycle the serial loop
-            // delivers in ascending seq.
+            // grant-order subsequence, so within a cycle the crossbar
+            // delivers in ascending seq. In the zero-divergence ideal
+            // model the first request of each warp-group to arrive
+            // anywhere is the group's "one real request"; every later
+            // sibling bypasses bank timing (Fig. 4's model). W = 1 for
+            // this scheduler, so the fast-track lands before the
+            // partition ticks again.
             loop {
                 let mut best: Option<(usize, u64)> = None;
                 for (i, p) in self.partitions.iter().enumerate() {
@@ -565,6 +569,9 @@ impl Simulator {
                 let Some((i, _)) = best else { break };
                 let (_, _, wg) = self.partitions[i].epoch_arrive_log.pop_front().unwrap();
                 self.mem_read_requests += 1;
+                if self.zero_div && !self.fast_seen.insert(wg) {
+                    self.partitions[i].ctrl.fast_track_group(wg, c);
+                }
                 if trace_on {
                     self.wg_events.push(WgEvent {
                         cycle: c,
@@ -620,163 +627,16 @@ impl Simulator {
                 |_, _| unreachable!("epoch window leaked a request-crossbar delivery"),
             );
         }
-        // --- closing: re-inject arrivals the window closed on (input full
-        // through `end`) so the next window pre-distributes them again.
-        // Reverse grant order restores the flight queue's grant order in
-        // front of anything granted during the replay. ---
-        let mut leftovers: Vec<(Cycle, u64, ldsim_types::req::MemRequest)> = Vec::new();
-        for p in &mut self.partitions {
-            while let Some(x) = p.epoch_arrivals.pop_front() {
-                leftovers.push(x);
-            }
+        for p in &self.partitions {
+            // A held-back arrival implies a full input buffer, which pins
+            // the event horizon (`Partition::next_event`) as the blocked
+            // crossbar delivery itself would have.
+            debug_assert!(p.epoch_arrivals.is_empty() || !p.can_accept());
             debug_assert!(p.epoch_coord_in.is_empty());
             debug_assert!(p.epoch_coord.is_empty());
             debug_assert!(p.epoch_events.is_empty());
             debug_assert!(p.epoch_arrive_log.is_empty());
         }
-        leftovers.sort_unstable_by_key(|&(_, seq, _)| std::cmp::Reverse(seq));
-        for (arrive, _, req) in leftovers {
-            let dst = req.decoded.channel.0 as usize;
-            self.req_xbar.requeue_front(arrive, dst, req);
-        }
-    }
-
-    /// Advance the machine one cycle.
-    ///
-    /// The cycle opens with the partition epoch — the only work the
-    /// intra-run pool parallelizes. Between two crossbar hand-off points a
-    /// partition's evolution depends only on its own state, so partitions
-    /// step concurrently and rejoin at a barrier before the hub (crossbars,
-    /// coordination network, SMs) runs serially, exactly as in the
-    /// reference loop.
-    pub fn step(&mut self, now: Cycle) {
-        let trace_on = self.cfg.trace;
-        self.sync_barriers += if self.cfg.scheduler.coordinates() {
-            2
-        } else {
-            1
-        };
-        // --- partition epoch: memory controllers + L2 slices ---
-        if self.cfg.scheduler.coordinates() {
-            // The coordination network (WG-M family) couples partitions
-            // mid-cycle, so the epoch splits in two at the hub: controllers
-            // tick (staging outbound messages per partition), the hub
-            // broadcasts in channel order and delivers — landing *after*
-            // every controller's tick, as the committed semantics require —
-            // then the serve/L2 phase runs.
-            self.each_partition(|p| p.epoch_ctrl_tick(now, true));
-            for (i, p) in self.partitions.iter_mut().enumerate() {
-                for (tag, m) in p.epoch_coord.drain(..) {
-                    debug_assert_eq!(tag, now, "per-cycle step saw a stale staged message");
-                    self.coord.broadcast(i, m, now);
-                }
-            }
-            let partitions = &mut self.partitions;
-            self.coord.deliver(now, |dst, msg| {
-                partitions[dst].ctrl.deliver_coord(msg, now);
-            });
-            self.each_partition(|p| p.epoch_serve_and_tick(now, trace_on));
-        } else {
-            // No cross-partition edge until the crossbars: the whole epoch
-            // is one fused phase per partition.
-            self.each_partition(|p| {
-                p.epoch_ctrl_tick(now, false);
-                p.epoch_serve_and_tick(now, trace_on);
-            });
-        }
-        if trace_on {
-            // Merge staged Serve events in channel-id order — the same
-            // order the serial loop emits them in.
-            for p in &mut self.partitions {
-                self.wg_events
-                    .extend(p.epoch_events.drain(..).map(|(_, e)| e));
-            }
-        }
-        // Partition -> response crossbar. Tags can lag `now` (entries a
-        // full crossbar left queued, or staged by an earlier epoch window)
-        // but never lead it.
-        for (pi, p) in self.partitions.iter_mut().enumerate() {
-            while let Some(&(tag, sm, _)) = p.to_sm.front() {
-                debug_assert!(tag <= now);
-                if self.resp_xbar.free_space(pi) == 0 {
-                    break;
-                }
-                let (_, _, resp) = p.to_sm.pop_front().unwrap();
-                if !self.resp_xbar.inject(pi, sm, resp) {
-                    self.lost_requests += 1;
-                }
-            }
-        }
-        // Response crossbar -> SMs (SMs always accept fills).
-        let sms = &mut self.sms;
-        let resp_count = &mut self.mem_read_responses;
-        self.resp_xbar.tick(
-            now,
-            |_| true,
-            |sm, resp| {
-                *resp_count += 1;
-                sms[sm].accept_response(resp, now);
-            },
-        );
-        // SMs issue.
-        for (si, sm) in self.sms.iter_mut().enumerate() {
-            self.sm_out.clear();
-            let free = self.req_xbar.free_space(si);
-            sm.tick(now, free, &mut self.sm_out);
-            for r in self.sm_out.drain(..) {
-                let dst = r.decoded.channel.0 as usize;
-                if !self.req_xbar.inject(si, dst, r) {
-                    self.lost_requests += 1;
-                }
-            }
-        }
-        // Request crossbar -> partitions. In the zero-divergence ideal
-        // model, the first request of each warp-group to arrive anywhere is
-        // the group's "one real request"; every later sibling bypasses bank
-        // timing (Fig. 4's model).
-        let zero_div = self.zero_div;
-        let fast_seen = &mut self.fast_seen;
-        // Snapshot per-partition input room (reused buffer — this runs every
-        // cycle); the acceptance closure draws it down as deliveries are
-        // granted within this tick.
-        self.room_buf.clear();
-        self.room_buf
-            .extend(self.partitions.iter().map(|p| p.input_room()));
-        let room = &mut self.room_buf;
-        let partitions = &mut self.partitions;
-        let req_count = &mut self.mem_read_requests;
-        let wg_events = &mut self.wg_events;
-        self.req_xbar.tick(
-            now,
-            |dst| {
-                if room[dst] > 0 {
-                    room[dst] -= 1;
-                    true
-                } else {
-                    false
-                }
-            },
-            |dst, req| {
-                if req.kind == ldsim_types::req::ReqKind::Read {
-                    *req_count += 1;
-                    if trace_on {
-                        wg_events.push(WgEvent {
-                            cycle: now,
-                            wg: req.wg,
-                            channel: dst as u8,
-                            stage: WgStage::Arrive,
-                        });
-                    }
-                }
-                if zero_div
-                    && req.kind == ldsim_types::req::ReqKind::Read
-                    && !fast_seen.insert(req.wg)
-                {
-                    partitions[dst].ctrl.fast_track_group(req.wg, now);
-                }
-                partitions[dst].accept(req);
-            },
-        );
     }
 
     /// Test-only fault injection: stuff the request crossbar's source-0
@@ -1140,7 +1000,7 @@ mod tests {
     fn threaded_partition_epochs_are_bit_exact() {
         // The pool changes execution strategy, not semantics: identical
         // RunResult and trace hash at every width, for both a plain and a
-        // coordinating scheduler (the two step topologies). The full
+        // coordinating scheduler (the two window bounds). The full
         // 7-scheduler ladder lives in tests/threaded.rs.
         let kernel = tiny_kernel(6, 5);
         for k in [SchedulerKind::Gmc, SchedulerKind::WgW] {
@@ -1178,68 +1038,76 @@ mod tests {
             .with_sim_threads(2)
         };
         // Non-coordinating: the window bound is the crossbar latency, so
-        // barriers shrink by an order of magnitude or more.
+        // hand-offs shrink by an order of magnitude or more against the
+        // W = 1 reference cadence.
         let cfg = mk(SchedulerKind::Gmc);
         let (r, s) = Simulator::new(cfg.clone(), &kernel).run_with_sync_stats();
         let (rb, sb) = Simulator::new(cfg.clone().with_epoch_max(1), &kernel).run_with_sync_stats();
         assert_eq!(r, rb, "window size must never change results");
-        assert_eq!(sb.windows, 0, "epoch_max = 1 forces the per-cycle cadence");
-        assert!(s.windows > 0, "auto epochs must engage multi-cycle windows");
+        assert_eq!(
+            sb.windows, sb.epoch_cycles,
+            "epoch_max = 1 is the W = 1 cadence"
+        );
         assert!(
             s.epoch_cycles / s.windows <= cfg.gpu.xbar_latency,
             "mean window {} exceeds the crossbar lookahead",
             s.epoch_cycles / s.windows
         );
         assert!(
-            sb.barriers >= 10 * s.barriers,
-            "barriers: per-cycle {} vs epoch {}",
-            sb.barriers,
-            s.barriers
+            sb.windows >= 10 * s.windows,
+            "hand-offs: W = 1 {} vs epoch {}",
+            sb.windows,
+            s.windows
         );
         // An explicit cap bounds the window without changing results.
         let (rc, sc) = Simulator::new(cfg.clone().with_epoch_max(4), &kernel).run_with_sync_stats();
         assert_eq!(rc, r, "epoch_max cap changed results");
-        assert!(sc.windows > 0 && sc.epoch_cycles / sc.windows <= 4);
+        assert!(sc.epoch_cycles / sc.windows <= 4);
 
-        // Coordinating: the window is additionally bounded by coord_latency
-        // (4), so the ceiling is 2 barriers/cycle -> 1 per 4 cycles = 8x;
-        // assert the >= 4x the CI gate uses.
+        // Coordinating: the window is additionally bounded by
+        // coord_latency (4), so the ceiling against W = 1 is 4x; assert
+        // the >= 2.5x the CI gate uses.
         let cfg = mk(SchedulerKind::WgW);
         let (r, s) = Simulator::new(cfg.clone(), &kernel).run_with_sync_stats();
         let (rb, sb) = Simulator::new(cfg.clone().with_epoch_max(1), &kernel).run_with_sync_stats();
         assert_eq!(r, rb, "WgW window size must never change results");
         assert!(
-            s.epoch_cycles / s.windows.max(1) <= cfg.mem.coord_latency,
+            s.epoch_cycles / s.windows <= cfg.mem.coord_latency,
             "coordinating window exceeds the coordination lookahead"
         );
         assert!(
-            sb.barriers >= 4 * s.barriers,
-            "WgW barriers: per-cycle {} vs epoch {}",
-            sb.barriers,
-            s.barriers
+            2 * sb.windows >= 5 * s.windows,
+            "WgW hand-offs: W = 1 {} vs epoch {}",
+            sb.windows,
+            s.windows
         );
     }
 
     #[test]
-    fn serial_runs_never_use_epoch_windows() {
-        // threads = 1 stays the pure per-cycle reference loop even with
-        // epochs nominally enabled (epoch_max = 0 auto).
+    fn serial_runs_use_epoch_windows() {
+        // Serial is the same loop as the pool: threads = 1 free-runs the
+        // partitions inline through the same multi-cycle windows.
         let kernel = tiny_kernel(4, 6);
         let cfg = SimConfig {
             max_cycles: 2_000_000,
             ..SimConfig::default()
         }
         .with_sim_threads(1);
-        let (r, s) = Simulator::new(cfg, &kernel).run_with_sync_stats();
+        let (r, s) = Simulator::new(cfg.clone(), &kernel).run_with_sync_stats();
         assert!(r.finished);
-        assert_eq!(s.windows, 0);
-        assert_eq!(s.epoch_cycles, 0);
+        assert!(s.epoch_cycles > s.windows, "no multi-cycle window opened");
+        let pooled = Simulator::new(cfg.with_sim_threads(2), &kernel).run_with_sync_stats();
+        assert_eq!(
+            pooled,
+            (r, s),
+            "the pool must not change results or windows"
+        );
     }
 
     #[test]
-    fn zero_divergence_disables_epoch_windows() {
-        // The global first-arrival set is fed in cross-partition delivery
-        // order, which a partition-local free-run cannot replay.
+    fn zero_divergence_runs_at_w1() {
+        // The hub fast-tracks a group's later siblings in global delivery
+        // order, which must land before their partition ticks again.
         let kernel = tiny_kernel(6, 8);
         let cfg = SimConfig {
             max_cycles: 2_000_000,
@@ -1249,9 +1117,25 @@ mod tests {
         .with_sim_threads(2);
         let (r, s) = Simulator::new(cfg.clone(), &kernel).run_with_sync_stats();
         assert!(r.finished);
-        assert_eq!(s.windows, 0, "zero-div must stay per-cycle");
+        assert_eq!(s.windows, s.epoch_cycles, "zero-div must run at W = 1");
         let serial = Simulator::new(cfg.with_sim_threads(1), &kernel).run();
         assert_eq!(r, serial);
+    }
+
+    #[test]
+    #[should_panic(expected = "xbar_latency must be at least 1 cycle")]
+    fn zero_xbar_latency_is_rejected() {
+        let mut cfg = SimConfig::default();
+        cfg.gpu.xbar_latency = 0;
+        Simulator::new(cfg, &tiny_kernel(1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "coord_latency must be at least 1 cycle")]
+    fn zero_coord_latency_is_rejected() {
+        let mut cfg = SimConfig::default().with_scheduler(SchedulerKind::WgM);
+        crate::sweep::CfgTweak::CoordLatency(0).apply(&mut cfg);
+        Simulator::new(cfg, &tiny_kernel(1, 1));
     }
 
     #[test]

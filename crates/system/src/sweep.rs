@@ -34,26 +34,25 @@
 //!
 //! ## Cache & resume semantics
 //!
-//! Completed cells append one self-describing JSONL row to the cache file
-//! as they finish (single `write` per row, so a crash leaves at most one
-//! torn final line, which the loader skips). Rows are trusted only if their
-//! engine salt matches [`ENGINE_SALT`] *and* their key re-derives from a
-//! currently-requested cell — stale entries self-invalidate and simply get
-//! re-simulated. Re-running after a crash therefore resumes exactly where
+//! Completed cells append one self-describing JSONL row to their shard of
+//! the cache directory ([`crate::shard::ShardMap`]) as they finish (single
+//! `write` per row, so a crash leaves at most one torn final line, which
+//! the loader skips). Rows are trusted only if their engine salt matches
+//! [`ENGINE_SALT`] *and* their key re-derives from a currently-requested
+//! cell — stale entries self-invalidate and simply get re-simulated. Re-running after a crash therefore resumes exactly where
 //! the sweep died, and a fully-warm run renders every figure without
 //! simulating at all.
 
 use crate::metrics::RunResult;
 use crate::runner::{run_one_kernel, run_opts, RunOpts};
+use crate::shard::ShardMap;
 use ldsim_types::clock::ClockDomain;
 use ldsim_types::config::{
     CacheConfig, GpuConfig, MemConfig, PagePolicy, Preset, SchedulerKind, SimConfig, TimingParams,
 };
 use ldsim_types::kernel::KernelProgram;
 use ldsim_util::{parallel_map, Fnv64, FnvHashMap};
-use std::io::Write as _;
 use std::path::Path;
-use std::sync::Mutex;
 
 /// Engine-version salt folded into every cell key. Bump it whenever a
 /// change alters simulation *results* (scheduler behaviour, timing, metric
@@ -78,7 +77,7 @@ pub fn salt_generation(salt: &str) -> Option<usize> {
     ENGINE_SALT_HISTORY.iter().position(|s| *s == salt)
 }
 
-/// Default shard count for directory-mode caches (the `repro` binary and
+/// Default shard count for the cell cache (the `repro` binary and
 /// `ldsim-server`). 8 shards keep individual files small at Full scale
 /// while staying trivial to eyeball in a directory listing.
 pub const DEFAULT_SHARDS: usize = 8;
@@ -217,9 +216,9 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
     // derives deterministically from (benchmark, scale, seed) — already
     // part of the cell key — and `sim_threads` / `epoch_max`, which are
     // execution strategy, not semantics: the threaded partition pool and
-    // its multi-cycle epoch windows are pinned bit-exact against the
-    // serial loop (tests/threaded.rs), so a cached cell is valid at any
-    // thread count and any epoch cadence.
+    // every epoch window length are pinned bit-exact against the serial
+    // one-cycle reference cadence (tests/threaded.rs), so a cached cell is
+    // valid at any thread count and any epoch cadence.
     let SimConfig {
         gpu,
         mem,
@@ -425,9 +424,8 @@ pub struct FigureSpec {
 pub struct SweepConfig<'a> {
     /// Where completed cells persist; `None` disables caching (the
     /// standalone figure binaries, which must behave exactly as before).
-    /// A path ending in `.jsonl` is the legacy single-file log; any other
-    /// path is a *shard directory* ([`crate::shard::ShardMap`]) holding
-    /// [`Self::shards`] files partitioned by cellkey.
+    /// The path is a *shard directory* ([`crate::shard::ShardMap`])
+    /// holding [`Self::shards`] files partitioned by cellkey.
     pub cache_path: Option<&'a Path>,
     /// Salt cached rows must carry. Production always passes
     /// [`ENGINE_SALT`]; tests pass a different salt to prove invalidation.
@@ -435,9 +433,8 @@ pub struct SweepConfig<'a> {
     /// Stop after simulating this many cells (cache rows for them are
     /// already appended) — the crash-resume tests' kill switch.
     pub max_simulated: Option<usize>,
-    /// Shard count used when `cache_path` names a directory. Ignored for
-    /// single-file caches, and overridden by an existing directory's
-    /// `shards.meta` (the on-disk layout wins).
+    /// Shard count for a fresh cache directory, overridden by an existing
+    /// directory's `shards.meta` (the on-disk layout wins).
     pub shards: usize,
 }
 
@@ -450,12 +447,6 @@ impl Default for SweepConfig<'_> {
             shards: DEFAULT_SHARDS,
         }
     }
-}
-
-/// Whether a cache path selects the legacy single-file log (extension
-/// `.jsonl`) or a shard directory.
-fn is_single_file(path: &Path) -> bool {
-    path.extension().is_some_and(|e| e == "jsonl")
 }
 
 /// What a sweep did, for logging and the resume/invalidation tests.
@@ -502,16 +493,13 @@ pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
     stats.unique = unique.len();
 
     // Warm start: absorb every valid, currently-requested cache row.
-    if let Some(path) = cfg.cache_path {
-        stats.skipped_lines = if is_single_file(path) {
-            load_cache(path, cfg.salt, &by_key, opts, &mut store)
-        } else {
-            let map = crate::shard::ShardMap::open(path, cfg.shards);
-            map.shard_paths()
-                .iter()
-                .map(|p| load_cache(p, cfg.salt, &by_key, opts, &mut store))
-                .sum()
-        };
+    let cache = cfg.cache_path.map(|path| ShardMap::open(path, cfg.shards));
+    if let Some(map) = &cache {
+        stats.skipped_lines = map
+            .shard_paths()
+            .iter()
+            .map(|p| load_cache(p, cfg.salt, &by_key, opts, &mut store))
+            .sum();
         stats.from_cache = store.len();
     }
 
@@ -541,23 +529,6 @@ pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
         }))
         .collect();
 
-    let appender = cfg.cache_path.map(|path| {
-        if is_single_file(path) {
-            if let Some(dir) = path.parent() {
-                std::fs::create_dir_all(dir)
-                    .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
-            }
-            let file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .unwrap_or_else(|e| panic!("cannot open cache {}: {e}", path.display()));
-            Appender::Single(Mutex::new(file))
-        } else {
-            Appender::Sharded(crate::shard::ShardMap::open(path, cfg.shards))
-        }
-    });
-
     let salt = cfg.salt;
     let fresh: Vec<(Cell, RunResult)> = parallel_map(to_run, |cell| {
         let kernel = &kernels[&(cell.bench, scale_ord(cell.scale), cell.seed)];
@@ -569,7 +540,7 @@ pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
             cell.kind,
             |cfg| cell.tweak.apply(cfg),
         );
-        if let Some(log) = &appender {
+        if let Some(map) = &cache {
             assert!(
                 result.hists.is_none(),
                 "refusing to cache an armed-histogram run ({}/{:?}): \
@@ -578,19 +549,9 @@ pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
                 cell.bench,
                 cell.kind
             );
-            let row = cache_row(&cell, opts, salt, &result);
-            match log {
-                Appender::Single(file) => {
-                    let mut f = file.lock().unwrap();
-                    // One write per row: a crash tears at most the final
-                    // line, which the loader skips.
-                    f.write_all(row.as_bytes())
-                        .unwrap_or_else(|e| panic!("cache append failed: {e}"));
-                }
-                // ShardMap::append opens-appends-closes under the hood, so
-                // concurrent workers only contend on the OS append lock.
-                Appender::Sharded(map) => map.append(cell.key(opts), &row),
-            }
+            // ShardMap::append opens-appends-closes under the hood, so
+            // concurrent workers only contend on the OS append lock.
+            map.append(cell.key(opts), &cache_row(&cell, opts, salt, &result));
         }
         (cell, result)
     });
@@ -605,16 +566,8 @@ pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
     (store, stats)
 }
 
-/// Where finished cells are appended: the legacy single file, or one shard
-/// file per cellkey partition.
-enum Appender {
-    Single(Mutex<std::fs::File>),
-    Sharded(crate::shard::ShardMap),
-}
-
 /// Serialise one completed cell as a self-describing cache line — the wire
-/// format shared by the single-file log, the shard store, and the
-/// `ldsim-server` job results. Public so the server can persist cells it
+/// format shared by the shard store and the `ldsim-server` job results. Public so the server can persist cells it
 /// ran outside [`run_sweep`] in the identical format.
 pub fn cache_row(cell: &Cell, opts: RunOpts, salt: &str, result: &RunResult) -> String {
     let result_json = result.to_json();
@@ -721,6 +674,18 @@ mod tests {
 
     fn cell(kind: SchedulerKind) -> Cell {
         Cell::new("bfs", Scale::Tiny, 7, kind)
+    }
+
+    /// Every row of the shard store at `dir`, in shard order.
+    fn cache_rows(dir: &Path) -> Vec<String> {
+        ShardMap::open(dir, DEFAULT_SHARDS)
+            .shard_paths()
+            .iter()
+            .flat_map(|p| {
+                let text = std::fs::read_to_string(p).unwrap_or_default();
+                text.lines().map(str::to_owned).collect::<Vec<_>>()
+            })
+            .collect()
     }
 
     #[test]
@@ -883,14 +848,14 @@ mod tests {
         // Same benchmark, same knobs, different DRAM backend: the preset
         // dimension alone must partition the cell cache — a collision would
         // serve GDDR5 numbers as HBM numbers. Pin it end to end through the
-        // JSONL file, like the microbench/CSR partition test below.
+        // shard store, like the microbench/CSR partition test below.
         let _guard = crate::runner::test_opts_lock();
         set_run_opts(RunOpts::default());
         let opts = RunOpts::default();
         let dir =
             std::env::temp_dir().join(format!("ldsim-preset-partition-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = dir.join("cellcache.jsonl");
+        let cache = dir.join("cellcache");
         let cells: Vec<Cell> = Preset::ALL
             .iter()
             .map(|&p| cell(SchedulerKind::Gmc).with_tweak(CfgTweak::Backend(p)))
@@ -906,8 +871,7 @@ mod tests {
         };
         let (store, stats) = run_sweep(&cells, &cfg);
         assert_eq!(stats.simulated, 4, "all four backends must simulate cold");
-        let text = std::fs::read_to_string(&cache).unwrap();
-        assert_eq!(text.lines().count(), 4, "one cache row per backend");
+        assert_eq!(cache_rows(&cache).len(), 4, "one cache row per backend");
 
         // Warm reload: each backend's row comes back under its own key.
         let (store2, stats2) = run_sweep(&cells, &cfg);
@@ -934,7 +898,7 @@ mod tests {
         set_run_opts(RunOpts::default());
         let dir = std::env::temp_dir().join(format!("ldsim-sweep-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = dir.join("cellcache.jsonl");
+        let cache = dir.join("cellcache");
         // Two "figures" sharing the bfs/Gmc cell.
         let cells = vec![
             cell(SchedulerKind::Gmc),
@@ -985,13 +949,13 @@ mod tests {
         // knobs (scale, seed, scheduler, tweak) resolve to the same config
         // fingerprint — only the bench name separates their cache keys. A
         // collision would silently serve one workload's numbers for the
-        // other, so pin the partitioning end to end through the JSONL file.
+        // other, so pin the partitioning end to end through the shard store.
         let _guard = crate::runner::test_opts_lock();
         set_run_opts(RunOpts::default());
         let opts = RunOpts::default();
         let dir = std::env::temp_dir().join(format!("ldsim-partition-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = dir.join("cellcache.jsonl");
+        let cache = dir.join("cellcache");
         let mb = Cell::new("mb_serial", Scale::Tiny, 7, SchedulerKind::Gmc);
         let csr = Cell::new("bfs", Scale::Tiny, 7, SchedulerKind::Gmc);
         assert_eq!(
@@ -1008,8 +972,7 @@ mod tests {
         };
         let (store, stats) = run_sweep(&cells, &cfg);
         assert_eq!(stats.simulated, 2, "both cells must simulate cold");
-        let text = std::fs::read_to_string(&cache).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
+        let lines = cache_rows(&cache);
         assert_eq!(lines.len(), 2, "one cache row per cell");
         for (c, name) in [(&mb, "mb_serial"), (&csr, "bfs")] {
             let key = format!("\"cellkey\":\"{:016x}\"", c.key(opts));
@@ -1041,7 +1004,7 @@ mod tests {
         set_run_opts(RunOpts::default());
         let dir = std::env::temp_dir().join(format!("ldsim-resume-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = dir.join("cellcache.jsonl");
+        let cache = dir.join("cellcache");
         let cells = vec![
             cell(SchedulerKind::Gmc),
             cell(SchedulerKind::Wg),
@@ -1059,8 +1022,9 @@ mod tests {
         {
             use std::io::Write;
             let mut f = std::fs::OpenOptions::new()
+                .create(true)
                 .append(true)
-                .open(&cache)
+                .open(ShardMap::open(&cache, DEFAULT_SHARDS).shard_path(0))
                 .unwrap();
             write!(
                 f,
@@ -1118,9 +1082,8 @@ mod tests {
 
     #[test]
     fn sharded_cache_round_trips_and_compaction_preserves_warm_reload() {
-        // The directory-mode cache must behave exactly like the single
-        // file: cold run populates the shards (rows routed by key), warm
-        // run simulates nothing and reloads bit-exact — and a compaction
+        // Cold run populates the shards (rows routed by key), warm run
+        // simulates nothing and reloads bit-exact — and a compaction
         // pass over a polluted store (stale-salt + torn rows appended to
         // every shard) must shrink the files while leaving the warm reload
         // byte-identical. This is the in-`cargo test` half of the CI
@@ -1143,7 +1106,7 @@ mod tests {
         };
         let (store, stats) = run_sweep(&cells, &cfg);
         assert_eq!(stats.simulated, 4);
-        let map = crate::shard::ShardMap::open(&cache, 4);
+        let map = ShardMap::open(&cache, 4);
         assert_eq!(map.shards(), 4);
         // Rows landed in the shard their key maps to.
         let opts = RunOpts::default();

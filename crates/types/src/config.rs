@@ -145,7 +145,8 @@ pub struct GpuConfig {
     pub max_warps_per_sm: usize,
     pub l1: CacheConfig,
     pub l2_slice: CacheConfig,
-    /// One-way crossbar pipeline latency, cycles.
+    /// One-way crossbar pipeline latency, cycles. At least 1: it is the
+    /// simulator's epoch lookahead (`Simulator::new` rejects 0).
     pub xbar_latency: Cycle,
     /// Per-SM injection queue capacity (requests).
     pub xbar_queue: usize,
@@ -206,7 +207,8 @@ pub struct MemConfig {
     pub timing: TimingParams,
     /// Latency of one hop on the inter-controller coordination network used
     /// by WG-M (Section IV-C): serialisation of a 32-bit message over 16-bit
-    /// links (2 cycles) plus propagation.
+    /// links (2 cycles) plus propagation. At least 1: it bounds the
+    /// simulator's epoch lookahead (`Simulator::new` rejects 0).
     pub coord_latency: Cycle,
     /// GMC baseline: maximum row-hit streak before yielding (Section II-C).
     pub gmc_max_streak: usize,
@@ -375,8 +377,10 @@ pub struct SimConfig {
     /// exportable as JSONL. Off by default (zero cost when disabled).
     pub trace: bool,
     /// Fast-forward the main loop over cycles where no component can make
-    /// progress (event-horizon skipping). Bit-exact with the cycle-by-cycle
-    /// loop; on by default. Disable to force the reference loop.
+    /// progress (event-horizon skipping), and let each memory partition
+    /// skip its own idle stretches inside an epoch window. Bit-exact with
+    /// ticking every component every cycle; on by default. Disable to
+    /// force that non-skipping reference loop.
     pub fast_forward: bool,
     /// Arm the in-simulator latency histograms (per-bank queue depth at
     /// enqueue, row-hit streak length, MERB occupancy, sampled read-queue
@@ -385,7 +389,8 @@ pub struct SimConfig {
     /// command, so it is off by default.
     pub hist: bool,
     /// Worker threads for the intra-run partition pool (the memory
-    /// partitions step concurrently between deterministic epoch barriers).
+    /// partitions free-run concurrently between deterministic epoch
+    /// barriers).
     /// `0` resolves from the process-wide setting (`--threads N` /
     /// `LDSIM_SIM_THREADS`, default serial); `1` forces serial; `n > 1`
     /// forces an `n`-wide pool, capped at the partition count. Threaded
@@ -393,13 +398,15 @@ pub struct SimConfig {
     /// strategy, not semantics — it is deliberately excluded from the
     /// sweep cache's `config_fingerprint`.
     pub sim_threads: usize,
-    /// Upper bound on the multi-cycle conservative epoch window: how many
-    /// cycles the threaded partition pool may free-run between barriers
-    /// (DESIGN.md §18). `0` means auto — the full crossbar-latency
-    /// lookahead; `1` forces the per-cycle barrier cadence (the PR-8
-    /// behaviour, useful for A/B measurement); any other value caps the
-    /// window, which is always additionally clamped to the safe lookahead
-    /// bounds. Epoch runs are bit-exact with serial ones, so like
+    /// Upper bound on the conservative epoch window: how many cycles the
+    /// partitions may free-run between hand-offs with the hub (DESIGN.md
+    /// §18). `0` means auto — the full lookahead bounds; any other value
+    /// additionally caps the window. Its one reason to exist is `1`: the
+    /// reference cadence (one-cycle windows) that the bit-exactness tests
+    /// and the perf report's barrier cut compare every other cadence
+    /// against. The tests pair it with `fast_forward = false`, so the
+    /// reference ticks every component every cycle and relies on no
+    /// `next_event` report. Every cadence computes the same results, so like
     /// `sim_threads` this is execution strategy, not semantics, and is
     /// excluded from `config_fingerprint`.
     pub epoch_max: Cycle,
@@ -469,8 +476,8 @@ impl SimConfig {
         self
     }
 
-    /// Cap the multi-cycle epoch window (see [`SimConfig::epoch_max`]).
-    /// `0` = auto (full lookahead), `1` = per-cycle barriers.
+    /// Cap the epoch window (see [`SimConfig::epoch_max`]). `0` = auto
+    /// (full lookahead), `1` = the one-cycle reference cadence.
     pub fn with_epoch_max(mut self, cap: Cycle) -> Self {
         self.epoch_max = cap;
         self

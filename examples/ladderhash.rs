@@ -1,7 +1,10 @@
-//! Prints a stable digest line per (benchmark, scheduler) cell of the
-//! 7-scheduler ladder × irregular suite: trace hash, cycles, instructions
-//! and the policy counters. Diffing this output across two builds is the
-//! quickest way to check cross-build bit-exactness of the simulator.
+//! Prints a stable digest line per (benchmark, machine) cell of the
+//! irregular suite: trace hash, cycles, instructions and the policy
+//! counters. The machines are the 7-scheduler ladder plus Fig. 4's two
+//! ideal models (ZeroDivergence and GMC with perfect coalescing). Diffing
+//! this output across two builds is the quickest way to check cross-build
+//! bit-exactness of the simulator; `golden/ladderhash_{tiny,small}.txt`
+//! hold the committed digests.
 //!
 //! Usage: `cargo run --release --example ladderhash [tiny|small]`
 
@@ -23,18 +26,30 @@ fn main() {
         "small" => Scale::Small,
         _ => Scale::Tiny,
     };
+    let machines: Vec<(String, SchedulerKind, bool)> = LADDER
+        .iter()
+        .map(|&kind| (format!("{kind:?}"), kind, false))
+        .chain([
+            (
+                "ZeroDivergence".into(),
+                SchedulerKind::ZeroDivergence,
+                false,
+            ),
+            ("Gmc+PerfectCoalesce".into(), SchedulerKind::Gmc, true),
+        ])
+        .collect();
     for bench in ldsim::system::runner::irregular_names() {
         let kernel = benchmark(bench, scale, 11).generate();
-        for &kind in LADDER {
-            let cfg = SimConfig::default()
-                .with_scheduler(kind)
+        for (label, kind, perfect) in &machines {
+            let mut cfg = SimConfig::default()
+                .with_scheduler(*kind)
                 .with_trace()
                 .with_hist();
-            let mut cfg = cfg;
+            cfg.perfect_coalescing = *perfect;
             cfg.instruction_limit = Some(kernel.total_instructions() * 7 / 10);
             let (r, trace) = Simulator::new(cfg, &kernel).run_traced();
             println!(
-                "{bench} {kind:?} hash={:016x} cycles={} insns={} counters={:?} \
+                "{bench} {label} hash={:016x} cycles={} insns={} counters={:?} \
                  reads={}/{} gap_p99={}",
                 trace.map(|t| t.stable_hash()).unwrap_or(0),
                 r.cycles,

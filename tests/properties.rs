@@ -161,11 +161,14 @@ fn merb_monotone() {
 /// what licenses skipping locally-idle stretches inside a window. Sample
 /// random legal timing configs, with the refresh interval shrunk far below
 /// its datasheet value so refresh edges land *inside* epoch windows, and
-/// demand that a threaded epoch run stays bit-exact (every counter, every
-/// histogram bucket, the FNV trace hash) with the serial per-cycle loop,
-/// protocol auditor armed. An optimistic `next_event` anywhere — bank FSM,
-/// refresh scheduler, controller queues, L2 latency pipe — diverges the
-/// two runs or trips a debug assertion.
+/// demand that multi-cycle windows, serial and threaded, stay bit-exact
+/// (every counter, every histogram bucket, the FNV trace hash) with the
+/// reference cadence (serial, one-cycle windows, fast-forward off, so it
+/// ticks every component every cycle and trusts no `next_event`), protocol
+/// auditor armed.
+/// An optimistic `next_event` anywhere — bank FSM, refresh scheduler,
+/// controller queues, L2 latency pipe — diverges the runs or trips a
+/// debug assertion.
 #[test]
 fn epoch_lookahead_sound_under_random_timings() {
     use ldsim::system::Simulator;
@@ -205,26 +208,34 @@ fn epoch_lookahead_sound_under_random_timings() {
         cfg.mem.timing = tp;
         let kernel = benchmark(bench, Scale::Tiny, 90 + case as u64).generate();
 
-        let (serial, serial_trace) =
-            Simulator::new(cfg.clone().with_sim_threads(1), &kernel).run_traced();
+        let reference = cfg
+            .clone()
+            .with_sim_threads(1)
+            .with_epoch_max(1)
+            .with_fast_forward(false);
+        let (serial, serial_trace) = Simulator::new(reference, &kernel).run_traced();
         assert!(serial.finished, "case {case}: serial hit the cycle limit");
         assert_eq!(serial.audit_violations, 0, "case {case}: serial audit");
 
-        let (epoch, epoch_trace) =
-            Simulator::new(cfg.clone().with_sim_threads(2), &kernel).run_traced();
-        assert_eq!(epoch, serial, "case {case} ({bench}/{kind:?}): diverged");
-        assert_eq!(
-            epoch_trace.as_ref().map(|t| t.stable_hash()),
-            serial_trace.as_ref().map(|t| t.stable_hash()),
-            "case {case} ({bench}/{kind:?}): trace hash diverged"
-        );
+        for threads in [1, 2] {
+            let (epoch, epoch_trace) =
+                Simulator::new(cfg.clone().with_sim_threads(threads), &kernel).run_traced();
+            assert_eq!(
+                epoch, serial,
+                "case {case} ({bench}/{kind:?}, {threads} threads): diverged"
+            );
+            assert_eq!(
+                epoch_trace.as_ref().map(|t| t.stable_hash()),
+                serial_trace.as_ref().map(|t| t.stable_hash()),
+                "case {case} ({bench}/{kind:?}, {threads} threads): trace hash diverged"
+            );
+        }
 
-        // The comparison is only evidence if epochs actually ran.
-        let (_, stats) =
-            Simulator::new(cfg.clone().with_sim_threads(2), &kernel).run_with_sync_stats();
+        // The comparison is only evidence if multi-cycle windows ran.
+        let (_, stats) = Simulator::new(cfg.clone(), &kernel).run_with_sync_stats();
         assert!(
-            stats.windows > 0,
-            "case {case}: no epoch windows opened — the property was not exercised"
+            stats.epoch_cycles > stats.windows,
+            "case {case}: no multi-cycle window opened — the property was not exercised"
         );
     }
 }
