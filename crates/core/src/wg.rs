@@ -16,7 +16,7 @@ use ldsim_types::config::{MemConfig, SchedulerKind};
 use ldsim_types::ids::WarpGroupId;
 use ldsim_types::req::MemRequest;
 use ldsim_util::{FnvHashMap, FnvHashSet};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which of the paper's refinements are active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -85,28 +85,33 @@ impl WgFlags {
     }
 }
 
-/// One warp-group's waiting requests.
-#[derive(Debug, Default)]
+/// One live warp-group: its waiting requests plus the per-group state the
+/// pick paths read, so that walking the store touches no other map.
+#[derive(Debug)]
 struct GroupEntry {
+    wg: WarpGroupId,
     reqs: Vec<MemRequest>,
-    /// Arrival order of the group's first request (final tie-breaker,
-    /// guaranteeing forward progress). Immutable for the group's lifetime
-    /// and unique across live groups — the seq-keyed indexes below rely on
-    /// both properties.
-    seq: u64,
     /// Cycle the group's first request arrived (starvation guard).
     first_arrival: Cycle,
+    /// Lowest remote completion score received for the group (WG-M): the
+    /// local score is capped at this value, prioritising warps already
+    /// serviced elsewhere. Only coordinating schemes ever set it.
+    cap: Option<u32>,
+    /// Sticky "fully arrived": set the first time the tracker reports the
+    /// group complete. Sound because completeness is monotone while the
+    /// group holds a request (DESIGN.md §13).
+    complete: bool,
 }
 
 /// Pending requests for one `(bank, row)` pair, indexed for the MERB gate
-/// (DESIGN.md §13): total count (orphan control needs it) plus, per holding
-/// group, the group's seq and its share of the count — so "oldest group with
-/// a pending hit on this row" is the first key of `by_seq` instead of a scan
+/// (DESIGN.md §13): total count (orphan control needs it) plus each holding
+/// group's share, keyed by the group's seq — so "oldest group with a
+/// pending hit on this row" is the first key of `by_seq` instead of a scan
 /// over every group's request list.
 #[derive(Debug, Default, Clone)]
 struct RowTally {
     count: u32,
-    by_seq: BTreeMap<u64, (WarpGroupId, u32)>,
+    by_seq: BTreeMap<u64, u32>,
 }
 
 /// The warp-aware transaction scheduler.
@@ -117,37 +122,38 @@ pub struct WarpGroupPolicy {
     /// this is force-prioritised (the same liveness rule the GMC baseline
     /// applies; plain SJF would starve large warp-groups indefinitely).
     age_threshold: Cycle,
-    groups: FnvHashMap<WarpGroupId, GroupEntry>,
+    /// Every live group, keyed by its seq: the arrival order of its first
+    /// request, unique across live groups and immutable for the group's
+    /// lifetime (the final tie-breaker, guaranteeing forward progress).
+    /// Iteration is oldest-first.
+    groups: BTreeMap<u64, GroupEntry>,
+    /// Warp-group → seq of its live entry.
+    seq_of: FnvHashMap<WarpGroupId, u64>,
     /// Requests pending per bank.
     bank_count: Vec<usize>,
     total: usize,
     seq: u64,
-    /// Group currently being drained as a unit.
-    active: Option<WarpGroupId>,
-    /// Lowest remote completion score received per group (WG-M): the local
-    /// score is capped at this value, prioritising warps already serviced
-    /// elsewhere.
+    /// Seq of the group currently being drained as a unit.
+    active: Option<u64>,
+    /// WG-M caps received for groups not (yet) live here — cross-channel
+    /// skew makes that the common case. A group's cap moves into its entry
+    /// when its first request arrives.
     remote_cap: FnvHashMap<WarpGroupId, u32>,
+    /// Live entries holding a cap: with `remote_cap.len()` it makes the cap
+    /// count the bounded-state sweep compares against.
+    live_caps: usize,
     coord_out: Vec<CoordMsg>,
     /// Scratch for score computation (see [`group_score`]).
     scratch: Vec<u32>,
-    /// Every live group, ordered by `seq` (incremental index, DESIGN.md
-    /// §13): the starvation guard, the partial-group fallback and the
-    /// bypass candidate walk all read oldest-first from here instead of
-    /// scanning + sorting the group map.
-    by_seq: BTreeMap<u64, WarpGroupId>,
-    /// Live groups with exactly one pending request, ordered by `seq`
-    /// (WG-W's unit-group pre-drain pick).
-    unit_by_seq: BTreeMap<u64, WarpGroupId>,
+    /// Seqs of the live groups with exactly one pending request (WG-W's
+    /// unit-group pre-drain pick).
+    unit_by_seq: BTreeSet<u64>,
     /// Per bank: row → pending-request tally (the MERB gate's index).
     row_tally: Vec<FnvHashMap<u32, RowTally>>,
     /// Route picks through the original scan-based implementations instead
     /// of the indexes — the differential-testing escape hatch. The indexes
     /// are still maintained; they are just not consulted.
     reference_picks: bool,
-    /// Reusable pick-path scratch (avoids per-pick allocation).
-    scratch_ids: Vec<WarpGroupId>,
-    scratch_scored: Vec<(GroupScore, WarpGroupId)>,
     /// Stats: MERB substitutions performed (row-hits inserted before a
     /// gated row-miss).
     pub merb_substitutions: u64,
@@ -155,12 +161,71 @@ pub struct WarpGroupPolicy {
     pub wgw_priority_grants: u64,
     /// Stats: groups selected by the SJF rule.
     pub groups_selected: u64,
-    /// Stats: coordination messages that lowered a local score.
+    /// Stats: scored candidates whose score a WG-M remote cap lowered —
+    /// counted every time a group is scored for selection or bypass,
+    /// including in picks that return nothing.
     pub coord_cap_applied: u64,
     /// Groups flagged as shared by multiple warps (WG-S, Section VIII).
     shared: FnvHashSet<WarpGroupId>,
     /// Stats: selections where sharing broke the tie.
     pub shared_promotions: u64,
+}
+
+/// Bank-Table score of a group, capped by its remote score (WG-M). The
+/// boolean says whether the cap engaged — capped groups (already in service
+/// at another controller) win score ties, finishing the warp instead of
+/// starting a new one (the intent of Section IV-C). Each engagement counts
+/// in `applied`.
+fn effective_score(
+    e: &GroupEntry,
+    view: &PolicyView<'_>,
+    scratch: &mut [u32],
+    applied: &mut u64,
+) -> (GroupScore, bool) {
+    let mut s = group_score(&e.reqs, view, scratch);
+    match e.cap {
+        Some(cap) if cap < s.score => {
+            s.score = cap;
+            *applied += 1;
+            (s, true)
+        }
+        _ => (s, false),
+    }
+}
+
+/// Index of the request to schedule from `reqs`: the lowest Bank-Table
+/// request score (row hits first, then the least-loaded bank) among those
+/// with command-queue headroom, first index on ties.
+fn best_request(reqs: &[MemRequest], view: &PolicyView<'_>) -> Option<usize> {
+    let mut best: Option<(u32, usize)> = None;
+    for (i, r) in reqs.iter().enumerate() {
+        if !view.headroom_ok(&r.decoded) {
+            continue;
+        }
+        let s = view.request_score(&r.decoded);
+        if best.map(|(bs, _)| s < bs).unwrap_or(true) {
+            best = Some((s, i));
+        }
+    }
+    best.map(|(_, i)| i)
+}
+
+/// Is the group fully arrived? The indexed route reads the sticky bit and
+/// asks the tracker only until it says yes; the reference route always asks
+/// the tracker.
+fn is_complete(e: &mut GroupEntry, view: &PolicyView<'_>, reference: bool) -> bool {
+    if reference {
+        return view.groups.is_complete(e.wg);
+    }
+    if !e.complete {
+        e.complete = view.groups.is_complete(e.wg);
+    }
+    debug_assert!(
+        !e.complete || view.groups.is_complete(e.wg),
+        "completeness of {:?} regressed while it held requests",
+        e.wg
+    );
+    e.complete
 }
 
 impl WarpGroupPolicy {
@@ -179,12 +244,14 @@ impl WarpGroupPolicy {
             flags,
             name,
             age_threshold,
-            groups: FnvHashMap::default(),
+            groups: BTreeMap::new(),
+            seq_of: FnvHashMap::default(),
             bank_count: vec![0; num_banks],
             total: 0,
             seq: 0,
             active: None,
             remote_cap: FnvHashMap::default(),
+            live_caps: 0,
             coord_out: Vec::new(),
             scratch: vec![0; num_banks.max(48)],
             merb_substitutions: 0,
@@ -193,12 +260,9 @@ impl WarpGroupPolicy {
             coord_cap_applied: 0,
             shared: FnvHashSet::default(),
             shared_promotions: 0,
-            by_seq: BTreeMap::new(),
-            unit_by_seq: BTreeMap::new(),
+            unit_by_seq: BTreeSet::new(),
             row_tally: vec![FnvHashMap::default(); num_banks],
             reference_picks: false,
-            scratch_ids: Vec::new(),
-            scratch_scored: Vec::new(),
         }
     }
 
@@ -212,44 +276,46 @@ impl WarpGroupPolicy {
         self.reference_picks = on;
     }
 
-    /// Internal invariant check (tests): the incremental indexes must
-    /// describe exactly the same pending state as the group map.
+    /// Internal invariant check (tests): the seq-ordered store and its
+    /// indexes must describe one consistent pending state, and every
+    /// sticky-complete group must be complete according to `tracker`.
     #[cfg(test)]
-    fn check_index_invariants(&self) {
-        assert_eq!(self.by_seq.len(), self.groups.len());
-        for (seq, wg) in &self.by_seq {
-            assert_eq!(self.groups[wg].seq, *seq);
-        }
-        for (seq, wg) in &self.unit_by_seq {
-            assert_eq!(self.groups[wg].reqs.len(), 1, "unit index stale");
-            assert_eq!(self.groups[wg].seq, *seq);
-        }
-        for (wg, e) in &self.groups {
-            if e.reqs.len() == 1 {
-                assert_eq!(self.unit_by_seq.get(&e.seq), Some(wg));
-            }
-        }
-        let mut want: std::collections::BTreeMap<(usize, u32, u64), u32> = Default::default();
-        for (wg, e) in &self.groups {
+    fn check_index_invariants(&self, tracker: &ldsim_memctrl::GroupTracker) {
+        assert_eq!(self.seq_of.len(), self.groups.len());
+        let mut total = 0;
+        let mut per_bank = vec![0usize; self.bank_count.len()];
+        let mut want: BTreeMap<(usize, u32, u64), u32> = BTreeMap::new();
+        for (&seq, e) in &self.groups {
+            assert!(!e.reqs.is_empty(), "empty group retained");
+            assert!(seq < self.seq, "seq from the future");
+            assert_eq!(self.seq_of.get(&e.wg), Some(&seq), "seq index stale");
+            assert_eq!(self.unit_by_seq.contains(&seq), e.reqs.len() == 1);
+            assert!(!e.complete || tracker.is_complete(e.wg), "sticky bit ahead");
+            assert!(!self.remote_cap.contains_key(&e.wg), "live cap left behind");
             for r in &e.reqs {
+                assert_eq!(r.wg, e.wg);
+                total += 1;
+                per_bank[r.decoded.bank.0 as usize] += 1;
                 *want
-                    .entry((r.decoded.bank.0 as usize, r.decoded.row, e.seq))
+                    .entry((r.decoded.bank.0 as usize, r.decoded.row, seq))
                     .or_insert(0) += 1;
-                assert_eq!(
-                    self.row_tally[r.decoded.bank.0 as usize]
-                        .get(&r.decoded.row)
-                        .and_then(|t| t.by_seq.get(&e.seq))
-                        .map(|(w, _)| w),
-                    Some(wg)
-                );
             }
         }
+        assert_eq!(self.total, total);
+        assert_eq!(self.bank_count, per_bank);
+        assert!(self.unit_by_seq.iter().all(|s| self.groups.contains_key(s)));
+        assert_eq!(
+            self.live_caps,
+            self.groups.values().filter(|e| e.cap.is_some()).count(),
+            "live-cap count stale"
+        );
+        assert!(self.active.is_none_or(|s| self.groups.contains_key(&s)));
         let mut have = 0usize;
         for (b, per_row) in self.row_tally.iter().enumerate() {
             for (row, t) in per_row {
                 assert!(t.count > 0, "empty tally retained");
                 let mut sum = 0;
-                for (seq, (_, c)) in &t.by_seq {
+                for (seq, c) in &t.by_seq {
                     assert!(*c > 0);
                     assert_eq!(want.get(&(b, *row, *seq)), Some(c));
                     sum += c;
@@ -261,9 +327,8 @@ impl WarpGroupPolicy {
         assert_eq!(have, want.len());
     }
 
-    fn take_req(&mut self, wg: WarpGroupId, idx: usize) -> MemRequest {
-        let entry = self.groups.get_mut(&wg).expect("group exists");
-        let seq = entry.seq;
+    fn take_req(&mut self, seq: u64, idx: usize) -> MemRequest {
+        let entry = self.groups.get_mut(&seq).expect("group exists");
         let r = entry.reqs.swap_remove(idx);
         let left = entry.reqs.len();
         self.bank_count[r.decoded.bank.0 as usize] -= 1;
@@ -271,21 +336,26 @@ impl WarpGroupPolicy {
         self.untally(&r, seq);
         match left {
             0 => {
-                self.groups.remove(&wg);
-                self.remote_cap.remove(&wg);
-                self.shared.remove(&wg);
-                self.by_seq.remove(&seq);
-                self.unit_by_seq.remove(&seq);
-                if self.active == Some(wg) {
-                    self.active = None;
-                }
+                let e = self.groups.remove(&seq).expect("group exists");
+                self.retire(seq, &e);
+                self.shared.remove(&e.wg);
             }
             1 => {
-                self.unit_by_seq.insert(seq, wg);
+                self.unit_by_seq.insert(seq);
             }
             _ => {}
         }
         r
+    }
+
+    /// Drop the indexes of a group whose entry just left the store.
+    fn retire(&mut self, seq: u64, e: &GroupEntry) {
+        self.seq_of.remove(&e.wg);
+        self.unit_by_seq.remove(&seq);
+        self.live_caps -= e.cap.is_some() as usize;
+        if self.active == Some(seq) {
+            self.active = None;
+        }
     }
 
     /// Remove one request's contribution from its `(bank, row)` tally.
@@ -300,31 +370,28 @@ impl WarpGroupPolicy {
             return;
         }
         let c = t.by_seq.get_mut(&seq).expect("group share exists");
-        c.1 -= 1;
-        if c.1 == 0 {
+        *c -= 1;
+        if *c == 0 {
             t.by_seq.remove(&seq);
         }
     }
 
-    /// Effective score of a group: Bank-Table score, capped by the best
-    /// remote score received for it (WG-M). The boolean says whether the
-    /// cap engaged — capped groups (already in service at another
-    /// controller) win score ties, finishing the warp instead of starting
-    /// a new one (the intent of Section IV-C).
-    fn effective_score(&mut self, wg: WarpGroupId, view: &PolicyView<'_>) -> (GroupScore, bool) {
-        let entry = &self.groups[&wg];
-        let mut s = group_score(&entry.reqs, view, &mut self.scratch);
-        let mut capped = false;
-        if self.flags.coordinate {
-            if let Some(&cap) = self.remote_cap.get(&wg) {
-                if cap < s.score {
-                    s.score = cap;
-                    capped = true;
-                    self.coord_cap_applied += 1;
-                }
-            }
-        }
-        (s, capped)
+    /// Does any pending request have command-queue room? A bank with
+    /// pending requests can take one when it has room for a miss (3
+    /// slots), or room for a hit (1 slot) and a pending request for the
+    /// row it will find open — the row tally answers that in one lookup.
+    /// O(banks).
+    fn any_schedulable(&self, view: &PolicyView<'_>) -> bool {
+        self.bank_count
+            .iter()
+            .zip(view.banks)
+            .zip(&self.row_tally)
+            .any(|((&n, s), rows)| {
+                n > 0
+                    && (s.headroom >= 3
+                        || (s.headroom >= 1
+                            && s.last_scheduled_row.is_some_and(|r| rows.contains_key(&r))))
+            })
     }
 
     /// Select the best complete group by bank-aware SJF; fall back to the
@@ -337,33 +404,20 @@ impl WarpGroupPolicy {
     /// contract, not an implementation detail. The selection itself is a
     /// strict total order ending in the unique `seq`, so evaluation order
     /// cannot change the winner.
-    fn select_group(&mut self, view: &PolicyView<'_>) -> Option<WarpGroupId> {
+    fn select_group(&mut self, view: &PolicyView<'_>) -> Option<u64> {
         // Ordering: lowest score; ties -> shared groups (WG-S), then
         // remotely-started groups, then most row hits, then oldest.
-        let mut best: Option<(GroupScore, bool, bool, u64, WarpGroupId)> = None;
-        let mut ids = std::mem::take(&mut self.scratch_ids);
-        ids.clear();
-        if self.reference_picks {
-            ids.extend(
-                self.groups
-                    .iter()
-                    .filter(|(wg, _)| view.groups.is_complete(**wg))
-                    .map(|(wg, _)| *wg),
-            );
-        } else {
-            ids.extend(
-                self.by_seq
-                    .values()
-                    .filter(|wg| view.groups.is_complete(**wg)),
-            );
-        }
-        for &wg in &ids {
-            let seq = self.groups[&wg].seq;
-            let (s, capped) = self.effective_score(wg, view);
-            let shared = self.flags.shared_aware && self.shared.contains(&wg);
+        let mut best: Option<(GroupScore, bool, bool, u64)> = None;
+        for (&seq, e) in self.groups.iter_mut() {
+            if !is_complete(e, view, self.reference_picks) {
+                continue;
+            }
+            let (s, capped) =
+                effective_score(e, view, &mut self.scratch, &mut self.coord_cap_applied);
+            let shared = self.flags.shared_aware && self.shared.contains(&e.wg);
             let better = match &best {
                 None => true,
-                Some((bs, bshared, bcap, bseq, _)) => {
+                Some((bs, bshared, bcap, bseq)) => {
                     if s.score != bs.score {
                         s.score < bs.score
                     } else if shared != *bshared {
@@ -378,50 +432,32 @@ impl WarpGroupPolicy {
                 }
             };
             if better {
-                best = Some((s, shared, capped, seq, wg));
+                best = Some((s, shared, capped, seq));
             }
         }
-        self.scratch_ids = ids;
-        if let Some((score, shared, _, _, wg)) = best {
+        if let Some((score, shared, _, seq)) = best {
             if shared {
                 self.shared_promotions += 1;
             }
             self.groups_selected += 1;
             if self.flags.coordinate {
                 self.coord_out.push(CoordMsg {
-                    wg,
+                    wg: self.groups[&seq].wg,
                     score: score.score,
                 });
             }
-            return Some(wg);
+            return Some(seq);
         }
         // No complete group: fall back to the oldest partial group so the
         // read queue cannot clog with fragments.
-        if self.reference_picks {
-            self.groups
-                .iter()
-                .min_by_key(|(_, e)| e.seq)
-                .map(|(wg, _)| *wg)
-        } else {
-            self.by_seq.values().next().copied()
-        }
+        self.groups.keys().next().copied()
     }
 
     /// Pick the next request *within* the active group: row hits first
     /// (they stream immediately), then the miss on the least-loaded bank.
-    fn pick_from_group(&mut self, wg: WarpGroupId, view: &PolicyView<'_>) -> Option<MemRequest> {
-        let entry = self.groups.get(&wg)?;
-        let mut best: Option<(u32, usize)> = None;
-        for (i, r) in entry.reqs.iter().enumerate() {
-            if !view.headroom_ok(&r.decoded) {
-                continue;
-            }
-            let s = view.request_score(&r.decoded);
-            if best.map(|(bs, _)| s < bs).unwrap_or(true) {
-                best = Some((s, i));
-            }
-        }
-        let (_, idx) = best?;
+    fn pick_from_group(&mut self, seq: u64, view: &PolicyView<'_>) -> Option<MemRequest> {
+        let entry = self.groups.get(&seq)?;
+        let idx = best_request(&entry.reqs, view)?;
         // WG-Bw: if the chosen request is a row-miss, the MERB gate may
         // substitute a row-hit from another group on the same bank.
         if self.flags.merb {
@@ -432,13 +468,13 @@ impl WarpGroupPolicy {
                 } else {
                     self.merb_gate(d.bank.0 as usize, view)
                 };
-                if let Some((owg, oidx)) = gate {
+                if let Some((oseq, oidx)) = gate {
                     self.merb_substitutions += 1;
-                    return Some(self.take_req(owg, oidx));
+                    return Some(self.take_req(oseq, oidx));
                 }
             }
         }
-        Some(self.take_req(wg, idx))
+        Some(self.take_req(seq, idx))
     }
 
     /// The MERB gate (Section IV-D): a row-miss on `bank` must wait while
@@ -452,7 +488,7 @@ impl WarpGroupPolicy {
     /// group's request list is then scanned for the substitute's position —
     /// the *first* matching index, the same within-group order the reference
     /// scan produces.
-    fn merb_gate(&self, bank: usize, view: &PolicyView<'_>) -> Option<(WarpGroupId, usize)> {
+    fn merb_gate(&self, bank: usize, view: &PolicyView<'_>) -> Option<(u64, usize)> {
         let snap = &view.banks[bank];
         let open_row = snap.last_scheduled_row?;
         let t = self.row_tally[bank].get(&open_row)?;
@@ -463,15 +499,15 @@ impl WarpGroupPolicy {
         // Orphan control: never strand one or two row-hits behind a miss.
         let orphan = t.count <= 2;
         if gate_closed || orphan {
-            let (_, &(wg, _)) = t.by_seq.first_key_value().expect("non-empty tally");
-            let e = &self.groups[&wg];
+            let (&seq, _) = t.by_seq.first_key_value().expect("non-empty tally");
+            let e = &self.groups[&seq];
             let i = e
                 .reqs
                 .iter()
                 .position(|r| r.decoded.bank.0 as usize == bank && r.decoded.row == open_row)
                 .expect("tallied request present in group");
             if view.headroom_ok(&e.reqs[i].decoded) {
-                return Some((wg, i));
+                return Some((seq, i));
             }
         }
         None
@@ -480,22 +516,18 @@ impl WarpGroupPolicy {
     /// Original scan-based MERB gate (kept for `reference_picks`
     /// differential testing; must stay behaviourally identical to
     /// [`Self::merb_gate`]).
-    fn merb_gate_reference(
-        &self,
-        bank: usize,
-        view: &PolicyView<'_>,
-    ) -> Option<(WarpGroupId, usize)> {
+    fn merb_gate_reference(&self, bank: usize, view: &PolicyView<'_>) -> Option<(u64, usize)> {
         let snap = &view.banks[bank];
         let open_row = snap.last_scheduled_row?;
         // Find pending row-hits for this bank's open row across all groups.
-        let mut oldest: Option<(u64, WarpGroupId, usize)> = None;
+        let mut oldest: Option<(u64, usize)> = None;
         let mut count = 0usize;
-        for (wg, e) in self.groups.iter() {
+        for (&seq, e) in &self.groups {
             for (i, r) in e.reqs.iter().enumerate() {
                 if r.decoded.bank.0 as usize == bank && r.decoded.row == open_row {
                     count += 1;
-                    if oldest.map(|(s, _, _)| e.seq < s).unwrap_or(true) {
-                        oldest = Some((e.seq, *wg, i));
+                    if oldest.map(|(s, _)| seq < s).unwrap_or(true) {
+                        oldest = Some((seq, i));
                     }
                 }
             }
@@ -508,9 +540,9 @@ impl WarpGroupPolicy {
         let gate_closed = snap.hits_since_row_open < threshold;
         let orphan = count <= 2;
         if gate_closed || orphan {
-            let (_, wg, i) = oldest.unwrap();
-            if view.headroom_ok(&self.groups[&wg].reqs[i].decoded) {
-                return Some((wg, i));
+            let (seq, i) = oldest.expect("a counted hit has an oldest holder");
+            if view.headroom_ok(&self.groups[&seq].reqs[i].decoded) {
+                return Some((seq, i));
             }
         }
         None
@@ -520,33 +552,77 @@ impl WarpGroupPolicy {
     /// are full). Pull one schedulable request from the lowest-score other
     /// group rather than idling banks.
     ///
-    /// Candidate order: complete non-active groups (incomplete ones only
-    /// when no complete group exists — the tie-break the
+    /// Candidates: complete non-active groups (incomplete ones only when no
+    /// complete group exists — the tie-break the
     /// `bypass_prefers_complete_groups_over_better_scored_incomplete` test
-    /// pins), best score first, seq as the stable tie-break. Like
-    /// [`Self::select_group`], every candidate is scored — the WG-M cap
-    /// counter makes the candidate set observable — but the indexed path
-    /// walks `by_seq` (already oldest-first, so the pre-sort disappears)
-    /// and reuses the two scratch buffers instead of allocating per pick.
-    fn pick_bypass(&mut self, view: &PolicyView<'_>) -> Option<MemRequest> {
+    /// pins). The reference ranks them by a stable sort on score (seq order
+    /// within ties) and takes the first with a schedulable request. This
+    /// walk visits the candidates oldest-first and keeps the best holder of
+    /// a schedulable request under (lowest score, most hits, oldest): the
+    /// same winner, in one pass, with no sort. A candidate with nothing
+    /// schedulable cannot win, so it is scored only when it holds a remote
+    /// cap — the one case where scoring is observable (`coord_cap_applied`).
+    /// Without `room` (no pending request has any) nothing can win, so
+    /// only the caps are counted, and only if some live group holds one.
+    fn pick_bypass(&mut self, view: &PolicyView<'_>, room: bool) -> Option<MemRequest> {
+        if !room && self.live_caps == 0 {
+            return None;
+        }
+        let mut best: Option<(GroupScore, u64, usize)> = None;
+        for complete_only in [true, false] {
+            let mut any = false;
+            for (&seq, e) in self.groups.iter_mut() {
+                if Some(seq) == self.active || (complete_only && !is_complete(e, view, false)) {
+                    continue;
+                }
+                any = true;
+                let idx = room.then(|| best_request(&e.reqs, view)).flatten();
+                if idx.is_none() && e.cap.is_none() {
+                    continue;
+                }
+                let (s, _) =
+                    effective_score(e, view, &mut self.scratch, &mut self.coord_cap_applied);
+                if let Some(idx) = idx {
+                    if best.is_none_or(|(bs, _, _)| s.better_than(&bs)) {
+                        best = Some((s, seq, idx));
+                    }
+                }
+            }
+            if any {
+                break;
+            }
+        }
+        best.map(|(_, seq, idx)| self.take_req(seq, idx))
+    }
+
+    /// Original allocating scan-and-sort bypass (kept for `reference_picks`
+    /// differential testing; must stay behaviourally identical to
+    /// [`Self::pick_bypass`]).
+    fn pick_bypass_reference(&mut self, view: &PolicyView<'_>) -> Option<MemRequest> {
         let active = self.active;
-        let mut ids = std::mem::take(&mut self.scratch_ids);
-        ids.clear();
-        ids.extend(
-            self.by_seq
-                .values()
-                .filter(|wg| Some(**wg) != active && view.groups.is_complete(**wg)),
-        );
-        if ids.is_empty() {
-            ids.extend(self.by_seq.values().filter(|wg| Some(**wg) != active));
+        // The store iterates in seq order, so `seqs` is already seq-sorted.
+        let mut seqs: Vec<u64> = self
+            .groups
+            .iter()
+            .filter(|(seq, e)| Some(**seq) != active && view.groups.is_complete(e.wg))
+            .map(|(seq, _)| *seq)
+            .collect();
+        if seqs.is_empty() {
+            seqs = self
+                .groups
+                .keys()
+                .filter(|seq| Some(**seq) != active)
+                .copied()
+                .collect();
         }
-        // `by_seq` iterates oldest-first: `ids` is already seq-sorted.
-        let mut scored = std::mem::take(&mut self.scratch_scored);
-        scored.clear();
-        for &wg in &ids {
-            let s = self.effective_score(wg, view).0;
-            scored.push((s, wg));
-        }
+        let mut scored: Vec<(GroupScore, u64)> = seqs
+            .into_iter()
+            .map(|seq| {
+                let e = &self.groups[&seq];
+                let s = effective_score(e, view, &mut self.scratch, &mut self.coord_cap_applied);
+                (s.0, seq)
+            })
+            .collect();
         // Stable sort: within equal scores the seq order above survives.
         scored.sort_by(|a, b| {
             if a.0.better_than(&b.0) {
@@ -557,76 +633,9 @@ impl WarpGroupPolicy {
                 std::cmp::Ordering::Equal
             }
         });
-        let mut found: Option<(WarpGroupId, usize)> = None;
-        for &(_, wg) in scored.iter() {
-            let entry = &self.groups[&wg];
-            let mut best: Option<(u32, usize)> = None;
-            for (i, r) in entry.reqs.iter().enumerate() {
-                if !view.headroom_ok(&r.decoded) {
-                    continue;
-                }
-                let s = view.request_score(&r.decoded);
-                if best.map(|(bs, _)| s < bs).unwrap_or(true) {
-                    best = Some((s, i));
-                }
-            }
-            if let Some((_, idx)) = best {
-                found = Some((wg, idx));
-                break;
-            }
-        }
-        self.scratch_ids = ids;
-        self.scratch_scored = scored;
-        found.map(|(wg, idx)| self.take_req(wg, idx))
-    }
-
-    /// Original allocating scan-and-sort bypass (kept for `reference_picks`
-    /// differential testing; must stay behaviourally identical to
-    /// [`Self::pick_bypass`]).
-    fn pick_bypass_reference(&mut self, view: &PolicyView<'_>) -> Option<MemRequest> {
-        let active = self.active;
-        let mut ids: Vec<WarpGroupId> = self
-            .groups
-            .iter()
-            .filter(|(wg, _)| Some(**wg) != active && view.groups.is_complete(**wg))
-            .map(|(wg, _)| *wg)
-            .collect();
-        if ids.is_empty() {
-            ids = self
-                .groups
-                .keys()
-                .filter(|wg| Some(**wg) != active)
-                .copied()
-                .collect();
-        }
-        ids.sort_unstable_by_key(|wg| self.groups[wg].seq);
-        let mut scored: Vec<(GroupScore, WarpGroupId)> = ids
-            .into_iter()
-            .map(|wg| (self.effective_score(wg, view).0, wg))
-            .collect();
-        scored.sort_by(|a, b| {
-            if a.0.better_than(&b.0) {
-                std::cmp::Ordering::Less
-            } else if b.0.better_than(&a.0) {
-                std::cmp::Ordering::Greater
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        });
-        for (_, wg) in scored {
-            let entry = &self.groups[&wg];
-            let mut best: Option<(u32, usize)> = None;
-            for (i, r) in entry.reqs.iter().enumerate() {
-                if !view.headroom_ok(&r.decoded) {
-                    continue;
-                }
-                let s = view.request_score(&r.decoded);
-                if best.map(|(bs, _)| s < bs).unwrap_or(true) {
-                    best = Some((s, i));
-                }
-            }
-            if let Some((_, idx)) = best {
-                return Some(self.take_req(wg, idx));
+        for (_, seq) in scored {
+            if let Some(idx) = best_request(&self.groups[&seq].reqs, view) {
+                return Some(self.take_req(seq, idx));
             }
         }
         None
@@ -641,37 +650,37 @@ impl WarpGroupPolicy {
     /// ascending and stopping at the first pass equals the reference's
     /// min-over-all).
     fn pick_unit_group(&mut self, view: &PolicyView<'_>) -> Option<MemRequest> {
-        let mut found: Option<WarpGroupId> = None;
-        for (_, &wg) in self.unit_by_seq.iter() {
-            let e = &self.groups[&wg];
+        let mut found: Option<u64> = None;
+        for &seq in &self.unit_by_seq {
+            let e = self.groups.get_mut(&seq).expect("unit group is live");
             debug_assert_eq!(e.reqs.len(), 1);
-            if view.groups.is_complete(wg) && view.headroom_ok(&e.reqs[0].decoded) {
-                found = Some(wg);
+            if is_complete(e, view, false) && view.headroom_ok(&e.reqs[0].decoded) {
+                found = Some(seq);
                 break;
             }
         }
-        let wg = found?;
+        let seq = found?;
         self.wgw_priority_grants += 1;
-        Some(self.take_req(wg, 0))
+        Some(self.take_req(seq, 0))
     }
 
     /// Original scan-based unit-group pick (kept for `reference_picks`
     /// differential testing; must stay behaviourally identical to
     /// [`Self::pick_unit_group`]).
     fn pick_unit_group_reference(&mut self, view: &PolicyView<'_>) -> Option<MemRequest> {
-        let mut best: Option<(u64, WarpGroupId)> = None;
-        for (wg, e) in self.groups.iter() {
+        let mut best: Option<u64> = None;
+        for (&seq, e) in &self.groups {
             if e.reqs.len() == 1
-                && view.groups.is_complete(*wg)
+                && view.groups.is_complete(e.wg)
                 && view.headroom_ok(&e.reqs[0].decoded)
-                && best.map(|(s, _)| e.seq < s).unwrap_or(true)
+                && best.map(|s| seq < s).unwrap_or(true)
             {
-                best = Some((e.seq, *wg));
+                best = Some(seq);
             }
         }
-        let (_, wg) = best?;
+        let seq = best?;
         self.wgw_priority_grants += 1;
-        Some(self.take_req(wg, 0))
+        Some(self.take_req(seq, 0))
     }
 }
 
@@ -683,33 +692,48 @@ impl Policy for WarpGroupPolicy {
     fn on_arrival(&mut self, req: MemRequest, now: Cycle) {
         let bank = req.decoded.bank.0 as usize;
         let row = req.decoded.row;
-        let wg = req.wg;
         self.bank_count[bank] += 1;
         self.total += 1;
-        let seq = self.seq;
-        let entry = self.groups.entry(wg).or_insert_with(|| GroupEntry {
-            reqs: Vec::with_capacity(4),
-            seq,
-            first_arrival: now,
+        let seq = *self.seq_of.entry(req.wg).or_insert_with(|| {
+            let cap = self.remote_cap.remove(&req.wg);
+            self.live_caps += cap.is_some() as usize;
+            self.groups.insert(
+                self.seq,
+                GroupEntry {
+                    wg: req.wg,
+                    reqs: Vec::with_capacity(4),
+                    first_arrival: now,
+                    cap,
+                    complete: false,
+                },
+            );
+            self.seq
         });
-        if entry.reqs.is_empty() {
-            entry.seq = entry.seq.min(seq);
-        }
-        let gseq = entry.seq;
+        let entry = self.groups.get_mut(&seq).expect("group exists");
+        // The sticky completeness bit relies on every request of a group
+        // at one channel carrying the same group size (set once per load
+        // in `Sm`), so the tracker's expected count never grows.
+        debug_assert!(
+            entry
+                .reqs
+                .first()
+                .is_none_or(|r| r.group_size_on_channel == req.group_size_on_channel),
+            "requests of {:?} disagree on the group size at this channel",
+            req.wg
+        );
         entry.reqs.push(req);
         match entry.reqs.len() {
             1 => {
-                self.by_seq.insert(gseq, wg);
-                self.unit_by_seq.insert(gseq, wg);
+                self.unit_by_seq.insert(seq);
             }
             2 => {
-                self.unit_by_seq.remove(&gseq);
+                self.unit_by_seq.remove(&seq);
             }
             _ => {}
         }
         let t = self.row_tally[bank].entry(row).or_default();
         t.count += 1;
-        t.by_seq.entry(gseq).or_insert((wg, 0)).1 += 1;
+        *t.by_seq.entry(seq).or_insert(0) += 1;
         self.seq += 1;
     }
 
@@ -724,28 +748,38 @@ impl Policy for WarpGroupPolicy {
         // Starvation guard: the oldest group past the age threshold
         // pre-empts the SJF order (and the active group). Indexed: `seq`
         // order is creation order and `first_arrival` is nondecreasing in
-        // it, so the oldest group (first `by_seq` entry) is the *only* one
-        // that can exceed the threshold first — one lookup replaces the
-        // filtered min-scan.
-        let aged = if self.reference_picks {
-            self.groups
+        // it, so the oldest group (the store's first entry) is the *only*
+        // one that can exceed the threshold first — one lookup replaces
+        // the filtered min-scan.
+        let old = |e: &GroupEntry| view.now.saturating_sub(e.first_arrival) > self.age_threshold;
+        // `room`: can any pending request be scheduled? If not, every path
+        // below returns nothing, so the searches are skipped and only their
+        // side effects remain: the aged group becomes active, a missing
+        // active group is selected (counters and coordination broadcast),
+        // and the bypass counts its capped candidates. The reference always
+        // searches.
+        let (aged, room) = if self.reference_picks {
+            let aged = self
+                .groups
                 .iter()
-                .filter(|(_, e)| view.now.saturating_sub(e.first_arrival) > self.age_threshold)
-                .min_by_key(|(_, e)| e.seq)
-                .map(|(wg, _)| *wg)
+                .filter(|(_, e)| old(e))
+                .map(|(s, _)| *s)
+                .min();
+            (aged, true)
         } else {
-            self.by_seq.values().next().copied().filter(|wg| {
-                view.now.saturating_sub(self.groups[wg].first_arrival) > self.age_threshold
-            })
+            let aged = self.groups.first_key_value().filter(|(_, e)| old(e));
+            (aged.map(|(s, _)| *s), self.any_schedulable(view))
         };
-        if let Some(wg) = aged {
-            self.active = Some(wg);
-            if let Some(r) = self.pick_from_group(wg, view) {
-                return Some(r);
+        if let Some(seq) = aged {
+            self.active = Some(seq);
+            if room {
+                if let Some(r) = self.pick_from_group(seq, view) {
+                    return Some(r);
+                }
             }
         }
         // WG-W pre-drain hook.
-        if self.flags.write_aware && view.drain_imminent() {
+        if room && self.flags.write_aware && view.drain_imminent() {
             let r = if self.reference_picks {
                 self.pick_unit_group_reference(view)
             } else {
@@ -755,53 +789,44 @@ impl Policy for WarpGroupPolicy {
                 return Some(r);
             }
         }
-        // Continue draining the active group.
-        if let Some(wg) = self.active {
-            if self.groups.contains_key(&wg) {
-                if let Some(r) = self.pick_from_group(wg, view) {
-                    return Some(r);
-                }
-                // The active group is blocked on command-queue headroom for
-                // its banks. Never idle the transaction slot: pull one
-                // schedulable request from the best other group so the
-                // remaining banks keep streaming (the bandwidth-preserving
-                // rule of Section IV-D's design discussion). The active
-                // group resumes as soon as its banks free up.
-                return if self.reference_picks {
-                    self.pick_bypass_reference(view)
-                } else {
-                    self.pick_bypass(view)
-                };
+        // Continue draining the active group, else select a new one. (An
+        // entry leaving the store clears `active`, so it is always live.)
+        let seq = match self.active {
+            Some(seq) => seq,
+            None => {
+                let seq = self.select_group(view)?;
+                self.active = Some(seq);
+                seq
             }
-            self.active = None;
+        };
+        if room {
+            if let Some(r) = self.pick_from_group(seq, view) {
+                return Some(r);
+            }
         }
-        // Select a new group.
-        let wg = self.select_group(view)?;
-        self.active = Some(wg);
-        if let Some(r) = self.pick_from_group(wg, view) {
-            return Some(r);
-        }
+        // The active group is blocked on command-queue headroom for its
+        // banks. Never idle the transaction slot: pull one schedulable
+        // request from the best other group so the remaining banks keep
+        // streaming (the bandwidth-preserving rule of Section IV-D's design
+        // discussion). The active group resumes as soon as its banks free
+        // up.
         if self.reference_picks {
             self.pick_bypass_reference(view)
         } else {
-            self.pick_bypass(view)
+            self.pick_bypass(view, room)
         }
     }
 
     fn remove_group(&mut self, wg: WarpGroupId) -> Vec<MemRequest> {
-        let Some(entry) = self.groups.remove(&wg) else {
+        let Some(&seq) = self.seq_of.get(&wg) else {
             return Vec::new();
         };
-        self.remote_cap.remove(&wg);
-        if self.active == Some(wg) {
-            self.active = None;
-        }
-        self.by_seq.remove(&entry.seq);
-        self.unit_by_seq.remove(&entry.seq);
+        let entry = self.groups.remove(&seq).expect("group exists");
+        self.retire(seq, &entry);
         for r in &entry.reqs {
             self.bank_count[r.decoded.bank.0 as usize] -= 1;
             self.total -= 1;
-            self.untally(r, entry.seq);
+            self.untally(r, seq);
         }
         entry.reqs
     }
@@ -819,12 +844,18 @@ impl Policy for WarpGroupPolicy {
         // Record the cap even when the group has not arrived here yet —
         // cross-channel skew makes that the common case: channel A selects
         // the group while its requests are still in flight toward us.
-        let e = self.remote_cap.entry(msg.wg).or_insert(u32::MAX);
-        *e = (*e).min(msg.score);
-        // Bounded state: sweep entries for long-gone groups occasionally.
-        if self.remote_cap.len() > 4 * self.groups.len() + 1024 {
-            let groups = &self.groups;
-            self.remote_cap.retain(|wg, _| groups.contains_key(wg));
+        if let Some(seq) = self.seq_of.get(&msg.wg) {
+            let e = self.groups.get_mut(seq).expect("group exists");
+            self.live_caps += e.cap.is_none() as usize;
+            e.cap = Some(e.cap.map_or(msg.score, |c| c.min(msg.score)));
+        } else {
+            let c = self.remote_cap.entry(msg.wg).or_insert(u32::MAX);
+            *c = (*c).min(msg.score);
+        }
+        // Bounded state: forget the caps of groups not live here once caps
+        // outnumber live groups 4:1 (plus slack).
+        if self.remote_cap.len() + self.live_caps > 4 * self.groups.len() + 1024 {
+            self.remote_cap.clear();
         }
     }
 
@@ -1396,15 +1427,17 @@ mod tests {
         assert_eq!(c[0], 1, "one group selected");
     }
 
-    /// Satellite property test (PR 1 seeded-loop convention): drive an
-    /// indexed policy and a `reference_picks` twin through the same random
-    /// operation stream — arrivals, picks under randomly mutated bank
-    /// snapshots, coordination, sharing, group removal, aging — for every
-    /// combination of the four WG flags, and require identical picks,
-    /// identical counters, and intact incremental indexes throughout.
+    /// Seeded-loop property test: drive an indexed policy and a
+    /// `reference_picks` twin through the same random operation stream —
+    /// arrivals, picks under randomly mutated bank snapshots, picks in the
+    /// saturated state where no pending request has command-queue room,
+    /// coordination, sharing, group removal, aging — for every combination
+    /// of the four WG flags, and require identical picks, identical
+    /// counters after every pick, and intact indexes throughout.
     #[test]
     fn indexed_picks_match_reference_scans_under_random_ops() {
         use ldsim_util::StdRng;
+        let (mut picks, mut stuck) = (0usize, 0usize);
         for combo in 0u8..16 {
             let flags = WgFlags {
                 coordinate: combo & 1 != 0,
@@ -1421,11 +1454,18 @@ mod tests {
                 let mut now: Cycle = 0;
                 let mut live: Vec<WarpGroupId> = Vec::new();
                 let mut serial = 0u32;
+                let same = |idx: &WarpGroupPolicy, rf: &WarpGroupPolicy, step: usize| {
+                    assert_eq!(
+                        (Policy::counters(idx), idx.shared_promotions),
+                        (Policy::counters(rf), rf.shared_promotions),
+                        "counters diverged: flags={flags:?} seed={seed} step={step}"
+                    );
+                };
                 for step in 0..600 {
                     match rng.gen_range(0u32..100) {
                         // Arrivals: a fresh group, possibly left incomplete,
                         // possibly completed through upstream absorption.
-                        0..=44 => {
+                        0..=39 => {
                             serial += 1;
                             let g = wg(0, (serial % 7) as u16, serial);
                             let size = rng.gen_range(1u16..=4);
@@ -1446,7 +1486,7 @@ mod tests {
                             live.push(g);
                         }
                         // Picks under a randomly perturbed bank view.
-                        45..=79 => {
+                        40..=64 => {
                             for b in 0..16 {
                                 let s = &mut f.banks[b];
                                 s.headroom = if rng.gen_bool(0.2) {
@@ -1467,6 +1507,8 @@ mod tests {
                             f.write_q_len = rng.gen_range(0usize..32);
                             let mut v = f.view();
                             v.now = now;
+                            picks += 1;
+                            stuck += !idx.any_schedulable(&v) as usize;
                             let a = idx.pick(&v);
                             let b = rf.pick(&v);
                             assert_eq!(
@@ -1474,6 +1516,60 @@ mod tests {
                                 b.as_ref().map(|r| (r.id, r.wg)),
                                 "pick diverged: flags={flags:?} seed={seed} step={step}"
                             );
+                            same(&idx, &rf, step);
+                        }
+                        // Saturation, the state most WG-W picks at Full
+                        // scale see: no pending request has command-queue
+                        // room (a bank is full, or has room only for a hit
+                        // on a row no request targets — requests use rows
+                        // 0..4), sometimes with one bank reopened so the
+                        // bypass walks mostly unschedulable candidates. A
+                        // few caps arrive, then several picks run under the
+                        // same view.
+                        65..=79 => {
+                            for s in f.banks.iter_mut() {
+                                if rng.gen_bool(0.5) {
+                                    s.headroom = 0;
+                                } else {
+                                    s.headroom = rng.gen_range(1usize..3);
+                                    s.last_scheduled_row = Some(rng.gen_range(4u32..8));
+                                }
+                                s.queue_score = rng.gen_range(0u32..30);
+                                s.queue_len = 8 - s.headroom;
+                                s.busy = true;
+                                s.hits_since_row_open = rng.gen_range(0u8..32);
+                            }
+                            if rng.gen_bool(0.3) {
+                                let s = &mut f.banks[rng.gen_range(0usize..16)];
+                                s.headroom = 8;
+                                s.queue_len = 0;
+                            }
+                            for _ in 0..rng.gen_range(0usize..4) {
+                                if let Some(&g) = live.get(rng.gen_range(0usize..live.len().max(1)))
+                                {
+                                    let m = CoordMsg {
+                                        wg: g,
+                                        score: rng.gen_range(0u32..12),
+                                    };
+                                    idx.on_coord(m, now);
+                                    rf.on_coord(m, now);
+                                }
+                            }
+                            f.write_q_len = rng.gen_range(0usize..32);
+                            let mut v = f.view();
+                            v.now = now;
+                            for _ in 0..rng.gen_range(2usize..6) {
+                                picks += 1;
+                                stuck += !idx.any_schedulable(&v) as usize;
+                                let a = idx.pick(&v);
+                                let b = rf.pick(&v);
+                                assert_eq!(
+                                    a.as_ref().map(|r| (r.id, r.wg)),
+                                    b.as_ref().map(|r| (r.id, r.wg)),
+                                    "saturated pick diverged: flags={flags:?} seed={seed} step={step}"
+                                );
+                                same(&idx, &rf, step);
+                            }
                         }
                         // WG-M coordination from a phantom remote controller.
                         80..=87 => {
@@ -1508,8 +1604,8 @@ mod tests {
                     }
                     assert_eq!(idx.pending(), rf.pending());
                     if step % 37 == 0 {
-                        idx.check_index_invariants();
-                        rf.check_index_invariants();
+                        idx.check_index_invariants(&f.groups);
+                        rf.check_index_invariants(&f.groups);
                     }
                 }
                 // Drain both to empty with full headroom and compare tallies.
@@ -1530,15 +1626,15 @@ mod tests {
                         break;
                     }
                 }
-                idx.check_index_invariants();
-                assert_eq!(
-                    Policy::counters(&idx),
-                    Policy::counters(&rf),
-                    "counters diverged: flags={flags:?} seed={seed}"
-                );
-                assert_eq!(idx.shared_promotions, rf.shared_promotions);
+                idx.check_index_invariants(&f.groups);
+                same(&idx, &rf, 600);
             }
         }
+        // The saturated state must be common, not a corner case.
+        assert!(
+            stuck * 4 >= picks,
+            "only {stuck} of {picks} picks found nothing schedulable"
+        );
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The transaction-scheduler policy interface.
 //!
 //! A [`Policy`] owns the *read* requests waiting at one controller and is
-//! asked, once per cycle while there is command-queue headroom, to pick the
-//! next request to expand into DRAM commands. The [`PolicyView`] gives it
+//! asked to pick the next request to expand into DRAM commands on every
+//! read-mode cycle (no refresh, no write drain) while it holds requests —
+//! whether or not any bank has command-queue headroom, so most picks on a
+//! congested channel return nothing. The [`PolicyView`] gives it
 //! the controller-side state the paper's schedulers consult: per-bank
 //! last-scheduled rows, command-queue scores (the Bank Table of
 //! Section IV-B.2), the MERB counters (Section IV-D), the write-queue
@@ -164,8 +166,9 @@ pub trait Policy: Send {
     fn has_pending_for_bank(&self, bank: usize) -> bool;
 
     /// Diagnostic counters: (groups selected, MERB substitutions, WG-W
-    /// priority grants, coordination caps applied). Zero for policies
-    /// without these mechanisms.
+    /// priority grants, coordination caps applied — the times a WG-M
+    /// remote cap lowered the score of a group being scored, in picks that
+    /// return nothing too). Zero for policies without these mechanisms.
     fn counters(&self) -> [u64; 4] {
         [0; 4]
     }

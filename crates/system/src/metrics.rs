@@ -149,7 +149,9 @@ pub struct RunResult {
     pub sm_mem_idle_frac: f64,
     /// Warp-aware policy counters summed over controllers:
     /// [groups selected, MERB substitutions, WG-W priority grants,
-    /// coordination caps applied].
+    /// coordination caps applied]. The last counts every time a WG-M
+    /// remote cap lowered the score of a group being scored for selection
+    /// or bypass, including in picks that returned nothing.
     pub policy_counters: [u64; 4],
 
     // ---- conformance / conservation / reproducibility ----

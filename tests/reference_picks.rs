@@ -1,15 +1,18 @@
 //! Indexed-pick bit-exactness ladder.
 //!
-//! The WG-family pick paths (`select_group`, `merb_gate`,
-//! `pick_unit_group`, `pick_bypass`) resolve their decisions through
-//! incremental seq/row indexes (DESIGN.md §13). The original scan-based
-//! implementations are kept behind `SimConfig::with_reference_picks(true)`,
-//! and this suite demands the *identical* [`RunResult`] — every counter
-//! (including the WG-M cap counter, which makes the scored candidate set
-//! observable), histogram moment and latency statistic — and the identical
-//! FNV-1a trace hash from both routes, for every scheduler in the audited
-//! ladder on the full irregular suite. Indexing is a pure wall-clock
-//! optimisation; any divergence here is a scheduling-correctness bug.
+//! The WG-family pick paths resolve their decisions through a seq-ordered
+//! group store with sticky completeness bits, row tallies and a unit-group
+//! index, skip every search when no pending request has command-queue
+//! room, and rank the bypass in one pass (DESIGN.md §13). The original
+//! scan-based implementations — tracker completeness, no precheck, the
+//! sort-based bypass — are kept behind
+//! `SimConfig::with_reference_picks(true)`, and this suite demands the
+//! *identical* [`RunResult`] — every counter (including the WG-M cap
+//! counter, which makes the scored candidate set observable), histogram
+//! moment and latency statistic — and the identical FNV-1a trace hash from
+//! both routes, for every scheduler in the audited ladder on the full
+//! irregular suite. Indexing is a pure wall-clock optimisation; any
+//! divergence here is a scheduling-correctness bug.
 //!
 //! Baseline (non-WG) schedulers ride along: the flag is a no-op for them,
 //! which doubles as a regression check that the plumbing never leaks into
