@@ -8,10 +8,13 @@
 //! suite per scheduler. Full bucket arrays land in
 //! `results/histreport.hist.jsonl` via the shared dump path.
 
-use ldsim_bench::{cli, dump_json};
-use ldsim_system::runner::{cell, irregular_names, run_grid, PAPER_SCHEDULERS};
+use ldsim_bench::figures::grid;
+use ldsim_bench::{cli, dump_json_to};
+use ldsim_system::runner::{irregular_names, PAPER_SCHEDULERS};
 use ldsim_system::table::Table;
-use ldsim_system::{run_opts, set_run_opts, RunHists, RunResult};
+use ldsim_system::{run_opts, run_sweep, set_run_opts, Cell, RunHists, RunResult, SweepConfig};
+use ldsim_types::config::SchedulerKind;
+use std::path::Path;
 
 fn main() {
     let (scale, seed) = cli();
@@ -23,7 +26,9 @@ fn main() {
     set_run_opts(opts);
 
     let benches = irregular_names();
-    let grid = run_grid(&benches, PAPER_SCHEDULERS, scale, seed);
+    let cells = grid(&benches, PAPER_SCHEDULERS, scale, seed);
+    let (store, _) = run_sweep(&cells, &SweepConfig::default());
+    let cell = |b, k: SchedulerKind| store.get(&Cell::new(b, scale, seed, k));
 
     let mut header = vec!["benchmark".to_string()];
     header.extend(PAPER_SCHEDULERS.iter().map(|k| format!("{k:?}")));
@@ -42,7 +47,7 @@ fn main() {
         for &b in &benches {
             let mut row = vec![b.to_string()];
             for &k in PAPER_SCHEDULERS {
-                let (p50, p90, p99) = pick(cell(&grid, b, k));
+                let (p50, p90, p99) = pick(cell(b, k));
                 row.push(format!("{p50}/{p90}/{p99}"));
             }
             t.row(row);
@@ -56,7 +61,7 @@ fn main() {
     let mut merged: Vec<RunHists> = PAPER_SCHEDULERS.iter().map(|_| RunHists::new()).collect();
     for (i, &k) in PAPER_SCHEDULERS.iter().enumerate() {
         for &b in &benches {
-            let hists = cell(&grid, b, k)
+            let hists = cell(b, k)
                 .hists
                 .as_deref()
                 .expect("histreport arms histograms for every run");
@@ -85,10 +90,11 @@ fn main() {
     println!("histreport — hardware distributions, suite-merged (p50/p99)\n");
     t.print();
 
-    dump_json(
+    dump_json_to(
+        Path::new("results"),
         "histreport",
         scale,
         seed,
-        &grid.iter().map(|c| &c.result).collect::<Vec<_>>(),
+        &cells.iter().map(|c| store.get(c)).collect::<Vec<_>>(),
     );
 }

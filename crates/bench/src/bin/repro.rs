@@ -1,28 +1,32 @@
 //! One-command full reproduction: run every figure and table of the paper
 //! through the global sweep orchestrator.
 //!
-//! All registered figure grids are deduped into one unique-cell work list,
-//! simulated in a single work-stealing pass, and rendered from the shared
-//! store — the same bytes every standalone figure binary writes, produced
-//! once. Completed cells persist in a content-addressed sharded cache
-//! (`<out>/cellcache/`), so an interrupted run resumes where it died and a
-//! warm rerun re-renders everything without simulating at all. The same
-//! store backs the long-running `ldsim-server` farm, so farm rows and
-//! local rows are interchangeable.
+//! All registered figure grids (or the ones `--only` names) are deduped
+//! into one unique-cell work list, simulated in a single work-stealing
+//! pass, and rendered from the shared store; a figure rendered alone writes
+//! the same bytes as in the whole sweep. Completed cells persist in a
+//! content-addressed sharded cache (`<out>/cellcache/`), so an interrupted
+//! run resumes where it died and a warm rerun re-renders everything
+//! without simulating at all. The same store backs the long-running
+//! `ldsim-server` farm, so farm rows and local rows are interchangeable.
 //!
 //! ```text
 //! repro [tiny|small|full] [--seed N] [--jobs N] [--threads N]
 //!       [--only fig08,fig11] [--out DIR] [--cold] [--resume]
-//!       [--audit] [--trace]
+//!       [--audit] [--trace] [--hist]
 //! ```
 //!
 //! `--cold` deletes the cell cache first; `--resume` is the default warm
 //! behaviour, spelled out (kept as an explicit flag so crash-recovery
 //! runbooks read naturally). The two contradict each other, so passing
-//! both is an error. `--hist` is rejected: distribution histograms do not
-//! round-trip through the cache — use the `histreport` binary.
+//! both is an error. `--hist` arms the distribution histograms, and every
+//! figure that writes `<figure>.jsonl` also writes its bucket arrays to
+//! `<out>/<figure>.hist.jsonl`; histograms do not round-trip through the
+//! cache, so an armed sweep simulates every cell and neither reads nor
+//! writes the store; `--cold` and `--resume` act on the store, so either
+//! with `--hist` is an error too.
 
-use ldsim_bench::figures::registry;
+use ldsim_bench::figures::{registry, select};
 use ldsim_bench::{cli_fail, cli_parse, cli_pos, cli_value};
 use ldsim_system::sweep::{run_sweep, SweepConfig, ENGINE_SALT};
 use ldsim_system::RunOpts;
@@ -31,7 +35,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 const USAGE: &str = "repro [tiny|small|full] [--seed N] [--jobs N] [--threads N] \
-     [--only fig08,fig11] [--out DIR] [--cold] [--resume] [--audit] [--trace]";
+     [--only fig08,fig11] [--out DIR] [--cold] [--resume] [--audit] [--trace] [--hist]";
 
 fn main() {
     let mut scale = Scale::Small;
@@ -45,9 +49,6 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "tiny" => scale = Scale::Tiny,
-            "small" => scale = Scale::Small,
-            "full" => scale = Scale::Full,
             "--seed" => {
                 let v = cli_value(&args, i, "--seed", USAGE);
                 seed = cli_parse(v, "--seed", "a number", USAGE);
@@ -68,13 +69,16 @@ fn main() {
                 i += 1;
             }
             "--only" => {
-                only = Some(
-                    cli_value(&args, i, "--only", USAGE)
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty())
-                        .collect(),
-                );
+                let v = cli_value(&args, i, "--only", USAGE);
+                let names: Vec<String> = v
+                    .split(',')
+                    .map(|s| s.trim().to_string())
+                    .filter(|s| !s.is_empty())
+                    .collect();
+                if names.is_empty() {
+                    cli_fail(USAGE, &format!("--only needs a figure name, got '{v}'"));
+                }
+                only = Some(names);
                 i += 1;
             }
             "--cold" => cold = true,
@@ -82,38 +86,41 @@ fn main() {
             "--resume" => resume = true,
             "--audit" => opts.audit = true,
             "--trace" => opts.trace = true,
-            "--hist" => cli_fail(
-                USAGE,
-                "--hist is not supported by repro: distribution histograms do not \
-                 round-trip through the cell cache — run the standalone \
-                 `histreport` binary instead",
-            ),
-            other => cli_fail(USAGE, &format!("unknown argument '{other}'")),
+            "--hist" => opts.hist = true,
+            other => match Scale::parse(other) {
+                Some(s) => scale = s,
+                None => cli_fail(USAGE, &format!("unknown argument '{other}'")),
+            },
         }
         i += 1;
     }
-    if cold && resume {
-        cli_fail(
-            USAGE,
+    let contradiction = if cold && resume {
+        Some(
             "--cold and --resume contradict each other: --cold deletes the cell \
-             cache, --resume asks to warm-start from it — pass one or the other",
-        );
+             cache, --resume asks to warm-start from it — pass one or the other"
+                .to_string(),
+        )
+    } else if opts.hist && (cold || resume) {
+        let flag = if cold { "--cold" } else { "--resume" };
+        Some(format!(
+            "--hist and {flag} contradict each other: --hist sweeps without the \
+             cell cache, {flag} acts on it — pass one or the other"
+        ))
+    } else {
+        None
+    };
+    if let Some(msg) = contradiction {
+        cli_fail(USAGE, &msg);
     }
     ldsim_system::set_run_opts(opts);
 
-    let mut specs = registry(scale, seed);
-    if let Some(names) = &only {
-        let known: Vec<&str> = specs.iter().map(|s| s.name).collect();
-        for n in names {
-            if !known.contains(&n.as_str()) {
-                cli_fail(
-                    USAGE,
-                    &format!("--only: unknown figure '{n}' (known: {})", known.join(", ")),
-                );
-            }
-        }
-        specs.retain(|s| names.iter().any(|n| n == s.name));
-    }
+    let specs = select(scale, seed, only.as_deref()).unwrap_or_else(|n| {
+        let known: Vec<&str> = registry(scale, seed).iter().map(|s| s.name).collect();
+        cli_fail(
+            USAGE,
+            &format!("--only: unknown figure '{n}' (known: {})", known.join(", ")),
+        )
+    });
 
     let cache = out.join("cellcache");
     if cold {
@@ -133,7 +140,7 @@ fn main() {
 
     let cells: Vec<_> = specs.iter().flat_map(|s| s.cells.iter().copied()).collect();
     let cfg = SweepConfig {
-        cache_path: Some(&cache),
+        cache_path: (!opts.hist).then_some(cache.as_path()),
         salt: ENGINE_SALT,
         max_simulated,
         shards: ldsim_system::DEFAULT_SHARDS,
@@ -143,7 +150,8 @@ fn main() {
         specs.len(),
         ldsim_util::jobs(),
         ldsim_util::sim_threads(),
-        cache.display()
+        cfg.cache_path
+            .map_or("off (--hist)".into(), |p| p.display().to_string())
     );
     let t0 = Instant::now();
     let (store, stats) = run_sweep(&cells, &cfg);
@@ -154,9 +162,12 @@ fn main() {
         stats.declared, stats.unique, stats.from_cache, stats.simulated, stats.skipped_lines
     );
     if max_simulated.is_some() && stats.from_cache + stats.simulated < stats.unique {
+        let next = match cfg.cache_path {
+            Some(_) => "rerun to resume from the cache",
+            None => "nothing was cached (--hist)",
+        };
         println!(
-            "LDSIM_REPRO_MAX_SIM: stopping after {} simulated cell(s); \
-             rerun to resume from the cache",
+            "LDSIM_REPRO_MAX_SIM: stopping after {} simulated cell(s); {next}",
             stats.simulated
         );
         return;

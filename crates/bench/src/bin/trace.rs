@@ -13,24 +13,9 @@
 use ldsim_bench::{cli_fail, cli_parse, cli_pos, cli_value};
 use ldsim_system::Simulator;
 use ldsim_types::config::{SchedulerKind, SimConfig};
-use ldsim_workloads::{benchmark, Scale};
+use ldsim_workloads::{benchmark, is_benchmark, Scale};
 
 const USAGE: &str = "trace [bench] [tiny|small|full] [--seed N] [--scheduler NAME] [--threads N]";
-
-fn parse_scheduler(s: &str) -> SchedulerKind {
-    match s.to_ascii_lowercase().as_str() {
-        "fcfs" => SchedulerKind::Fcfs,
-        "frfcfs" => SchedulerKind::FrFcfs,
-        "gmc" => SchedulerKind::Gmc,
-        "wafcfs" => SchedulerKind::Wafcfs,
-        "sbwas" => SchedulerKind::Sbwas { alpha_q: 2 },
-        "wg" => SchedulerKind::Wg,
-        "wg-m" | "wgm" => SchedulerKind::WgM,
-        "wg-bw" | "wgbw" => SchedulerKind::WgBw,
-        "wg-w" | "wgw" => SchedulerKind::WgW,
-        other => cli_fail(USAGE, &format!("--scheduler does not know '{other}'")),
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,9 +26,6 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "tiny" => scale = Scale::Tiny,
-            "small" => scale = Scale::Small,
-            "full" => scale = Scale::Full,
             "--seed" => {
                 let v = cli_value(&args, i, "--seed", USAGE);
                 seed = cli_parse(v, "--seed", "a number", USAGE);
@@ -51,7 +33,9 @@ fn main() {
             }
             "--scheduler" => {
                 let v = cli_value(&args, i, "--scheduler", USAGE);
-                kind = parse_scheduler(v);
+                kind = SchedulerKind::parse(v).unwrap_or_else(|| {
+                    cli_fail(USAGE, &format!("--scheduler does not know '{v}'"))
+                });
                 i += 1;
             }
             "--threads" => {
@@ -59,10 +43,16 @@ fn main() {
                 ldsim_util::set_sim_threads(Some(cli_pos(v, "--threads", USAGE)));
                 i += 1;
             }
-            name if !name.starts_with('-') => bench = name.to_string(),
+            arg if !arg.starts_with('-') => match Scale::parse(arg) {
+                Some(s) => scale = s,
+                None => bench = arg.to_string(),
+            },
             other => cli_fail(USAGE, &format!("unknown argument '{other}'")),
         }
         i += 1;
+    }
+    if !is_benchmark(&bench) {
+        cli_fail(USAGE, &format!("unknown benchmark '{bench}'"));
     }
 
     let kernel = benchmark(&bench, scale, seed).generate();

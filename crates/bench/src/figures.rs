@@ -1,15 +1,15 @@
 //! Every paper figure/table as a data-declared [`FigureSpec`]: the
 //! simulation grid as a list of [`Cell`]s plus a render closure that turns
-//! shared-store results into the exact stdout and `results/*.jsonl` bytes
-//! the standalone binary produced.
+//! shared-store results into the figure's stdout table and
+//! `results/<figure>.jsonl` bytes.
 //!
-//! The figure binaries are thin wrappers over [`standalone_main`]; the
-//! `repro` binary feeds the whole [`registry`] to
+//! The `repro` binary is the one way to render them: it feeds the
+//! [`registry`] (or the part [`select`] picks for `--only`) to
 //! [`ldsim_system::run_sweep`] so shared cells (the irregular suite under
 //! GMC appears in six figures) simulate exactly once, then renders every
-//! figure from the one store. Byte-identity between the two paths is held
-//! by construction — the render closure *is* the binary's body — and
-//! enforced by the `repro` integration tests.
+//! figure from the one store. A render reads only its own cells, so one
+//! figure rendered alone writes the same bytes as in the whole sweep —
+//! pinned by the root `tests/repro.rs`.
 
 use crate::{dump_json_to, speedup};
 use ldsim_system::runner::{irregular_names, regular_names, PAPER_SCHEDULERS};
@@ -19,10 +19,8 @@ use ldsim_system::RunResult;
 use ldsim_types::config::{Preset, SchedulerKind};
 use ldsim_types::stats::{geomean, mean};
 use ldsim_workloads::Scale;
-use std::path::Path;
 
-/// Every figure/table spec, in presentation order. `repro` runs them all;
-/// a standalone binary picks its own out of the list.
+/// Every figure/table spec, in presentation order.
 pub fn registry(scale: Scale, seed: u64) -> Vec<FigureSpec> {
     vec![
         fig02(scale, seed),
@@ -51,29 +49,28 @@ pub fn registry(scale: Scale, seed: u64) -> Vec<FigureSpec> {
     ]
 }
 
-/// Run one named figure end-to-end exactly as its standalone binary did
-/// before the orchestrator existed: simulate its cells (no cache, shared
-/// kernels, parallel) and render into `results/`.
-pub fn run_standalone(name: &str, scale: Scale, seed: u64) {
-    let spec = registry(scale, seed)
+/// The registry narrowed to the figures named in `only` (all of it for
+/// `None`), in registry order — the one figure selection `repro --only`
+/// and the server's job submissions share. `Err` carries the first name
+/// the registry does not know.
+pub fn select(scale: Scale, seed: u64, only: Option<&[String]>) -> Result<Vec<FigureSpec>, String> {
+    let all = registry(scale, seed);
+    let Some(names) = only else {
+        return Ok(all);
+    };
+    if let Some(unknown) = names.iter().find(|n| !all.iter().any(|s| s.name == *n)) {
+        return Err(unknown.clone());
+    }
+    Ok(all
         .into_iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("no figure spec named '{name}'"));
-    let (store, _) = ldsim_system::run_sweep(&spec.cells, &ldsim_system::SweepConfig::default());
-    (spec.render)(&store, Path::new("results"));
+        .filter(|s| names.iter().any(|n| n == s.name))
+        .collect())
 }
 
-/// The whole body of a figure binary: parse the shared CLI, then
-/// [`run_standalone`].
-pub fn standalone_main(name: &str) {
-    let (scale, seed) = crate::cli();
-    run_standalone(name, scale, seed);
-}
-
-/// Bench-major × scheduler-minor cell grid — `run_grid`'s (and therefore
-/// every grid figure's dump) order.
-fn grid(benches: &[&'static str], kinds: &[SchedulerKind], scale: Scale, seed: u64) -> Vec<Cell> {
-    benches
+/// Bench-major × scheduler-minor cell grid — every grid figure's (and
+/// `histreport`'s) dump order.
+pub fn grid(names: &[&'static str], kinds: &[SchedulerKind], scale: Scale, seed: u64) -> Vec<Cell> {
+    names
         .iter()
         .flat_map(|&b| kinds.iter().map(move |&k| Cell::new(b, scale, seed, k)))
         .collect()
@@ -85,10 +82,7 @@ fn fetch<'s>(store: &'s CellStore, cells: &[Cell]) -> Vec<&'s RunResult> {
 }
 
 fn fig02(scale: Scale, seed: u64) -> FigureSpec {
-    let cells: Vec<Cell> = irregular_names()
-        .iter()
-        .map(|&b| Cell::new(b, scale, seed, SchedulerKind::Gmc))
-        .collect();
+    let cells = grid(&irregular_names(), &[SchedulerKind::Gmc], scale, seed);
     FigureSpec {
         name: "fig02",
         cells: cells.clone(),
@@ -119,10 +113,7 @@ fn fig02(scale: Scale, seed: u64) -> FigureSpec {
 }
 
 fn fig03(scale: Scale, seed: u64) -> FigureSpec {
-    let cells: Vec<Cell> = irregular_names()
-        .iter()
-        .map(|&b| Cell::new(b, scale, seed, SchedulerKind::Gmc))
-        .collect();
+    let cells = grid(&irregular_names(), &[SchedulerKind::Gmc], scale, seed);
     FigureSpec {
         name: "fig03",
         cells: cells.clone(),
@@ -270,32 +261,20 @@ fn fig08(scale: Scale, seed: u64) -> FigureSpec {
             let mut t = Table::new(&["benchmark", "WG", "WG-M", "WG-Bw", "WG-W"]);
             let mut per_sched: Vec<Vec<f64>> = vec![Vec::new(); 4];
             for &b in &benches {
-                let base = store
-                    .get(&Cell::new(b, scale, seed, SchedulerKind::Gmc))
-                    .ipc();
+                let ipc = |k| store.get(&Cell::new(b, scale, seed, k)).ipc();
+                let base = ipc(SchedulerKind::Gmc);
                 let mut row = vec![b.to_string()];
-                for (i, k) in [
-                    SchedulerKind::Wg,
-                    SchedulerKind::WgM,
-                    SchedulerKind::WgBw,
-                    SchedulerKind::WgW,
-                ]
-                .iter()
-                .enumerate()
-                {
-                    let x = speedup(b, store.get(&Cell::new(b, scale, seed, *k)).ipc(), base);
+                // PAPER_SCHEDULERS is GMC followed by the four WG variants.
+                for (i, &k) in PAPER_SCHEDULERS[1..].iter().enumerate() {
+                    let x = speedup(b, ipc(k), base);
                     per_sched[i].push(x);
                     row.push(f3(x));
                 }
                 t.row(row);
             }
-            t.row(vec![
-                "GMEAN (paper: 1.034/1.062/1.084/1.101)".into(),
-                f3(geomean(&per_sched[0])),
-                f3(geomean(&per_sched[1])),
-                f3(geomean(&per_sched[2])),
-                f3(geomean(&per_sched[3])),
-            ]);
+            let mut gmean = vec!["GMEAN (paper: 1.034/1.062/1.084/1.101)".to_string()];
+            gmean.extend(per_sched.iter().map(|xs| f3(geomean(xs))));
+            t.row(gmean);
             println!("Fig. 8 — IPC normalised to GMC (irregular suite)\n");
             t.print();
             dump_json_to(dir, "fig08", scale, seed, &fetch(store, &cells));
@@ -323,14 +302,9 @@ fn fig09(scale: Scale, seed: u64) -> FigureSpec {
                 }
                 t.row(row);
             }
-            t.row(vec![
-                "MEAN (cycles)".into(),
-                f2(mean(&sums[0])),
-                f2(mean(&sums[1])),
-                f2(mean(&sums[2])),
-                f2(mean(&sums[3])),
-                f2(mean(&sums[4])),
-            ]);
+            let mut means = vec!["MEAN (cycles)".to_string()];
+            means.extend(sums.iter().map(|xs| f2(mean(xs))));
+            t.row(means);
             let base = mean(&sums[0]);
             println!("Fig. 9 — effective memory latency (cycles; paper: WG -9.1%, WG-M -16.9%)\n");
             t.print();
@@ -368,15 +342,10 @@ fn fig10(scale: Scale, seed: u64) -> FigureSpec {
                     .avg_channels_touched));
                 t.row(row);
             }
-            t.row(vec![
-                "MEAN".into(),
-                f2(mean(&sums[0])),
-                f2(mean(&sums[1])),
-                f2(mean(&sums[2])),
-                f2(mean(&sums[3])),
-                f2(mean(&sums[4])),
-                "-".into(),
-            ]);
+            let mut means = vec!["MEAN".to_string()];
+            means.extend(sums.iter().map(|xs| f2(mean(xs))));
+            means.push("-".into());
+            t.row(means);
             println!("Fig. 10 — first-to-last DRAM service gap (cycles)\n");
             t.print();
             dump_json_to(dir, "fig10", scale, seed, &fetch(store, &cells));
@@ -402,14 +371,9 @@ fn fig11(scale: Scale, seed: u64) -> FigureSpec {
                 }
                 t.row(row);
             }
-            t.row(vec![
-                "MEAN".into(),
-                pct(mean(&sums[0])),
-                pct(mean(&sums[1])),
-                pct(mean(&sums[2])),
-                pct(mean(&sums[3])),
-                pct(mean(&sums[4])),
-            ]);
+            let mut means = vec!["MEAN".to_string()];
+            means.extend(sums.iter().map(|xs| pct(mean(xs))));
+            t.row(means);
             println!("Fig. 11 — DRAM data-bus utilisation\n");
             t.print();
             dump_json_to(dir, "fig11", scale, seed, &fetch(store, &cells));
@@ -418,10 +382,7 @@ fn fig11(scale: Scale, seed: u64) -> FigureSpec {
 }
 
 fn fig12(scale: Scale, seed: u64) -> FigureSpec {
-    let cells: Vec<Cell> = irregular_names()
-        .iter()
-        .map(|&b| Cell::new(b, scale, seed, SchedulerKind::WgBw))
-        .collect();
+    let cells = grid(&irregular_names(), &[SchedulerKind::WgBw], scale, seed);
     FigureSpec {
         name: "fig12",
         cells: cells.clone(),
@@ -680,27 +641,17 @@ fn sbwas(scale: Scale, seed: u64) -> FigureSpec {
             let mut t = Table::new(&["benchmark", "best alpha", "SBWAS/GMC", "WG-W/SBWAS"]);
             let (mut sb, mut wg) = (vec![], vec![]);
             for &b in &benches {
-                let base = store
-                    .get(&Cell::new(b, scale, seed, SchedulerKind::Gmc))
-                    .ipc();
+                let ipc = |k| store.get(&Cell::new(b, scale, seed, k)).ipc();
+                let base = ipc(SchedulerKind::Gmc);
                 let (mut best, mut best_a) = (0.0f64, 0u8);
                 for a in 1..=3u8 {
-                    let ipc = store
-                        .get(&Cell::new(
-                            b,
-                            scale,
-                            seed,
-                            SchedulerKind::Sbwas { alpha_q: a },
-                        ))
-                        .ipc();
-                    if ipc > best {
-                        best = ipc;
+                    let x = ipc(SchedulerKind::Sbwas { alpha_q: a });
+                    if x > best {
+                        best = x;
                         best_a = a;
                     }
                 }
-                let wgw = store
-                    .get(&Cell::new(b, scale, seed, SchedulerKind::WgW))
-                    .ipc();
+                let wgw = ipc(SchedulerKind::WgW);
                 sb.push(speedup(b, best, base));
                 wg.push(speedup(b, wgw, best));
                 t.row(vec![
@@ -740,11 +691,9 @@ fn parbs(scale: Scale, seed: u64) -> FigureSpec {
             ]);
             let (mut pb, mut wg) = (vec![], vec![]);
             for &b in &benches {
-                let base = store
-                    .get(&Cell::new(b, scale, seed, SchedulerKind::Gmc))
-                    .ipc();
-                let p = store.get(&Cell::new(b, scale, seed, SchedulerKind::ParBs));
-                let w = store.get(&Cell::new(b, scale, seed, SchedulerKind::WgW));
+                let get = |k| store.get(&Cell::new(b, scale, seed, k));
+                let base = get(SchedulerKind::Gmc).ipc();
+                let (p, w) = (get(SchedulerKind::ParBs), get(SchedulerKind::WgW));
                 pb.push(speedup(b, p.ipc(), base));
                 wg.push(speedup(b, w.ipc(), p.ipc()));
                 t.row(vec![
@@ -785,30 +734,19 @@ fn extensions(scale: Scale, seed: u64) -> FigureSpec {
             let mut t = Table::new(&["benchmark", "ATLAS/GMC", "WG-W/GMC", "WG-S/GMC"]);
             let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 3];
             for &b in &benches {
-                let base = store
-                    .get(&Cell::new(b, scale, seed, SchedulerKind::Gmc))
-                    .ipc();
+                let ipc = |k| store.get(&Cell::new(b, scale, seed, k)).ipc();
+                let base = ipc(SchedulerKind::Gmc);
                 let mut row = vec![b.to_string()];
-                for (i, k) in [
-                    SchedulerKind::AtlasLite,
-                    SchedulerKind::WgW,
-                    SchedulerKind::WgShared,
-                ]
-                .iter()
-                .enumerate()
-                {
-                    let x = speedup(b, store.get(&Cell::new(b, scale, seed, *k)).ipc(), base);
+                for (i, &k) in kinds[1..].iter().enumerate() {
+                    let x = speedup(b, ipc(k), base);
                     cols[i].push(x);
                     row.push(f3(x));
                 }
                 t.row(row);
             }
-            t.row(vec![
-                "GMEAN".into(),
-                f3(geomean(&cols[0])),
-                f3(geomean(&cols[1])),
-                f3(geomean(&cols[2])),
-            ]);
+            let mut gmean = vec!["GMEAN".to_string()];
+            gmean.extend(cols.iter().map(|xs| f3(geomean(xs))));
+            t.row(gmean);
             println!("Extensions — ATLAS-lite (VI-C.3) and WG-S (Section VIII future work)\n");
             t.print();
             dump_json_to(dir, "extensions", scale, seed, &fetch(store, &cells));
@@ -828,13 +766,8 @@ fn regular(scale: Scale, seed: u64) -> FigureSpec {
             let mut xs = Vec::new();
             for &b in &benches {
                 let base = store.get(&Cell::new(b, scale, seed, SchedulerKind::Gmc));
-                let x = speedup(
-                    b,
-                    store
-                        .get(&Cell::new(b, scale, seed, SchedulerKind::WgW))
-                        .ipc(),
-                    base.ipc(),
-                );
+                let wgw = store.get(&Cell::new(b, scale, seed, SchedulerKind::WgW));
+                let x = speedup(b, wgw.ipc(), base.ipc());
                 xs.push(x);
                 t.row(vec![b.to_string(), f3(x), pct(base.bw_utilization)]);
             }
@@ -1023,10 +956,7 @@ fn ablation(scale: Scale, seed: u64) -> FigureSpec {
 }
 
 fn calibration(scale: Scale, seed: u64) -> FigureSpec {
-    let cells: Vec<Cell> = irregular_names()
-        .iter()
-        .map(|&b| Cell::new(b, scale, seed, SchedulerKind::Gmc))
-        .collect();
+    let cells = grid(&irregular_names(), &[SchedulerKind::Gmc], scale, seed);
     FigureSpec {
         name: "calibration",
         cells: cells.clone(),
@@ -1197,33 +1127,6 @@ fn backends(scale: Scale, seed: u64) -> FigureSpec {
 mod tests {
     use super::*;
 
-    /// Every figure/table binary's grid must be registered with the
-    /// orchestrator — a new `fig*.rs` / `table*.rs` bin without a
-    /// [`FigureSpec`] silently escapes `repro` and the CI gate.
-    #[test]
-    fn every_figure_and_table_bin_is_registered() {
-        let names: Vec<&'static str> = registry(Scale::Tiny, 1).iter().map(|s| s.name).collect();
-        let bin_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-        let mut missing = Vec::new();
-        for entry in std::fs::read_dir(&bin_dir).unwrap() {
-            let path = entry.unwrap().path();
-            let stem = path.file_stem().unwrap().to_str().unwrap().to_string();
-            if path.extension().and_then(|e| e.to_str()) != Some("rs") {
-                continue;
-            }
-            if !(stem.starts_with("fig") || stem.starts_with("table")) {
-                continue;
-            }
-            if !names.contains(&stem.as_str()) {
-                missing.push(stem);
-            }
-        }
-        assert!(
-            missing.is_empty(),
-            "figure/table bins without a FigureSpec in the registry: {missing:?}"
-        );
-    }
-
     #[test]
     fn registry_names_are_unique_and_fig06_is_known_absent() {
         let specs = registry(Scale::Tiny, 1);
@@ -1232,7 +1135,7 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate figure names");
-        // Fig. 6 is the paper's block diagram — no data, no binary, no spec.
+        // Fig. 6 is the paper's block diagram — no data, no spec.
         assert!(!names.contains(&"fig06"));
     }
 

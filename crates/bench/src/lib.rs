@@ -1,18 +1,17 @@
-//! Shared harness code for the experiment binaries (one per paper table /
-//! figure) and the microbenches.
+//! Shared harness code for the experiment binaries and the microbenches.
 //!
-//! Every binary accepts an optional scale argument (`tiny` / `small` /
-//! `full`, default `small`), an optional `--seed N`, the `--jobs N` /
-//! `--threads N` parallelism knobs (workers across cells; partition
-//! threads inside each run), and the `--audit` / `--trace` / `--hist`
-//! switches (which arm the DRAM protocol conformance auditor, the
-//! event-trace recorder, and the distribution histograms for
-//! every run the binary performs); results print as text tables (the same
-//! rows/series the paper plots) and are also written as JSON lines to
-//! `results/<figure>.jsonl` — one file per figure, rewritten on every
-//! invocation and stamped with the scale and seed — for EXPERIMENTS.md
-//! provenance. When histograms are armed, the full bucket arrays go to a
-//! companion `results/<figure>.hist.jsonl`.
+//! Every paper table and figure is a [`figures::FigureSpec`] in the
+//! [`figures::registry`]; the `repro` binary renders them (`repro
+//! [tiny|small|full] --only fig08` for one). A rendered figure prints its
+//! text table (the same rows/series the paper plots) and writes JSON lines
+//! to `results/<figure>.jsonl` — one file per figure, rewritten on every
+//! run and stamped with the scale and seed — for EXPERIMENTS.md
+//! provenance. When histograms are armed (`repro --hist`, `histreport`),
+//! the full bucket arrays go to a companion `results/<figure>.hist.jsonl`.
+//!
+//! `histreport` and `perfreport` share the command line of [`cli`]
+//! (default scale `small`; `--jobs N` workers across cells, `--threads N`
+//! partition threads inside each run).
 
 pub mod figures;
 pub mod validate;
@@ -62,10 +61,10 @@ pub fn cli_pos(raw: &str, flag: &str, usage: &str) -> usize {
 
 /// The shared harness usage line (see [`cli`]).
 pub const CLI_USAGE: &str =
-    "<binary> [tiny|small|full] [--seed N] [--jobs N] [--threads N] [--audit] [--trace] [--hist]";
+    "<binary> [tiny|small|full] [--seed N] [--jobs N] [--threads N] [--audit] [--trace]";
 
 /// Parse `[tiny|small|full]`, `--seed N`, `--jobs N`, `--threads N`,
-/// `--audit`, `--trace`, and `--hist` from argv. The switches are applied
+/// `--audit` and `--trace` from argv. The switches are applied
 /// process-wide (run options via [`ldsim_system::set_run_opts`], cell
 /// worker count via [`ldsim_util::set_jobs`], intra-run partition threads
 /// via [`ldsim_util::set_sim_threads`]) before returning. Bad input —
@@ -79,9 +78,6 @@ pub fn cli() -> (Scale, u64) {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "tiny" => scale = Scale::Tiny,
-            "small" => scale = Scale::Small,
-            "full" => scale = Scale::Full,
             "--seed" => {
                 let v = cli_value(&args, i, "--seed", CLI_USAGE);
                 seed = cli_parse(v, "--seed", "a number", CLI_USAGE);
@@ -99,31 +95,15 @@ pub fn cli() -> (Scale, u64) {
             }
             "--audit" => opts.audit = true,
             "--trace" => opts.trace = true,
-            "--hist" => opts.hist = true,
-            other => cli_fail(CLI_USAGE, &format!("unknown argument '{other}'")),
+            other => match Scale::parse(other) {
+                Some(s) => scale = s,
+                None => cli_fail(CLI_USAGE, &format!("unknown argument '{other}'")),
+            },
         }
         i += 1;
     }
     ldsim_system::set_run_opts(opts);
     (scale, seed)
-}
-
-/// Write run results as JSON lines to `results/<figure>.jsonl`.
-///
-/// The file is rewritten (not appended) on every invocation, so the rows
-/// always describe exactly one run of the binary, and every row is stamped
-/// with the figure name, scale, and seed that produced it — without the
-/// stamp, mixed-scale rows from successive invocations are
-/// indistinguishable. I/O failures panic with the offending path: silently
-/// dropping provenance is worse than aborting a finished experiment.
-pub fn dump_json(figure: &str, scale: Scale, seed: u64, results: &[&RunResult]) {
-    dump_json_to(
-        std::path::Path::new("results"),
-        figure,
-        scale,
-        seed,
-        results,
-    );
 }
 
 /// Splice the figure/scale/seed provenance stamp into a serialized JSON
@@ -143,7 +123,14 @@ pub fn stamp_row(figure: &str, scale: Scale, seed: u64, row: &str) -> String {
     )
 }
 
-/// [`dump_json`] with an explicit output directory (separated for tests).
+/// Write run results as JSON lines to `<dir>/<figure>.jsonl`.
+///
+/// The file is rewritten (not appended) on every invocation, so the rows
+/// always describe exactly one run, and every row is stamped with the
+/// figure name, scale, and seed that produced it — without the stamp,
+/// mixed-scale rows from successive invocations are indistinguishable.
+/// I/O failures panic with the offending path: silently dropping
+/// provenance is worse than aborting a finished experiment.
 ///
 /// If any result carries armed histograms (`RunResult::hists`), their full
 /// bucket arrays are written alongside as `<figure>.hist.jsonl` — one row
@@ -329,7 +316,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "malformed JSON row")]
     fn stamping_a_non_object_row_panics_in_release_builds_too() {
-        // Hard assert, not debug_assert: the release figure binaries are the
+        // Hard assert, not debug_assert: the release `repro` renders are the
         // ones whose output actually gets consumed.
         stamp_row("figX", Scale::Tiny, 1, "not an object");
     }

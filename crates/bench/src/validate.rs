@@ -58,14 +58,6 @@ pub struct CheckRow {
     pub pass: bool,
 }
 
-fn scale_name(s: Scale) -> &'static str {
-    match s {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Full => "full",
-    }
-}
-
 /// The validation configuration: Table II defaults + GMC, refresh off,
 /// auditor armed.
 pub fn validate_config(bypass: bool) -> SimConfig {
@@ -113,7 +105,7 @@ fn exact(
         check,
         preset: "gddr5",
         pins,
-        scale: scale_name(scale),
+        scale: scale.name(),
         lo: expect,
         hi: expect,
         measured,
@@ -134,7 +126,7 @@ fn band(
         check,
         preset: "gddr5",
         pins,
-        scale: scale_name(scale),
+        scale: scale.name(),
         lo,
         hi,
         measured,
@@ -425,17 +417,23 @@ pub fn to_jsonl(rows: &[CheckRow]) -> String {
 /// [--out DIR]`. Runs every requested scale (default: tiny), writes
 /// `DIR/validate.jsonl`, and exits non-zero if any check failed.
 pub fn standalone_main() {
+    const USAGE: &str = "validate [tiny|small|full]... [--out DIR]";
     let mut scales: Vec<Scale> = Vec::new();
     let mut out = PathBuf::from("results");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "tiny" => scales.push(Scale::Tiny),
-            "small" => scales.push(Scale::Small),
-            "full" => scales.push(Scale::Full),
-            "--out" => out = PathBuf::from(args.next().expect("--out needs a directory")),
-            other => panic!("unknown argument '{other}' (expected tiny|small|full|--out)"),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--out" => {
+                out = PathBuf::from(crate::cli_value(&args, i, "--out", USAGE));
+                i += 1;
+            }
+            other => match Scale::parse(other) {
+                Some(s) => scales.push(s),
+                None => crate::cli_fail(USAGE, &format!("unknown argument '{other}'")),
+            },
         }
+        i += 1;
     }
     if scales.is_empty() {
         scales.push(Scale::Tiny);

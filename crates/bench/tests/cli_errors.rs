@@ -61,9 +61,10 @@ fn repro_rejects_bad_arguments_with_named_errors() {
     assert_cli_error(bin, &["--threads", "fast"], "--threads");
     // Unknown flags must not be silently accepted.
     assert_cli_error(bin, &["--colde"], "--colde");
-    // Contradictory and unsupported flags route through the same path.
+    // Contradictory flags and empty lists route through the same path.
     assert_cli_error(bin, &["--cold", "--resume"], "--cold");
-    assert_cli_error(bin, &["--hist"], "--hist");
+    assert_cli_error(bin, &["--hist", "--cold"], "--hist");
+    assert_cli_error(bin, &["--only", ","], "--only");
 }
 
 #[test]
@@ -75,6 +76,8 @@ fn shared_harness_rejects_bad_arguments_with_named_errors() {
     assert_cli_error(bin, &["--threads", "0"], "--threads");
     assert_cli_error(bin, &["--threads"], "--threads");
     assert_cli_error(bin, &["smol"], "smol");
+    // `--hist` belongs to `repro`; histreport arms histograms by itself.
+    assert_cli_error(bin, &["--hist"], "--hist");
 }
 
 #[test]
@@ -85,6 +88,7 @@ fn trace_rejects_bad_arguments_with_named_errors() {
     assert_cli_error(bin, &["--scheduler", "wgx"], "--scheduler");
     assert_cli_error(bin, &["--threads", "nope"], "--threads");
     assert_cli_error(bin, &["--colde"], "--colde");
+    assert_cli_error(bin, &["nope", "tiny"], "nope");
 }
 
 /// Asking for more partition threads than the machine has memory

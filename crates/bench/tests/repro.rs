@@ -2,7 +2,7 @@
 //! bit-exactness (including trace hashes round-tripping through the cell
 //! cache), and crash-resume against the real `repro` binary.
 
-use ldsim_bench::figures::registry;
+use ldsim_bench::figures::select;
 use ldsim_system::sweep::{run_sweep, FigureSpec, SweepConfig, ENGINE_SALT};
 use ldsim_system::RunOpts;
 use ldsim_workloads::Scale;
@@ -18,13 +18,6 @@ fn tmp(name: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-fn specs_named(scale: Scale, seed: u64, names: &[&str]) -> Vec<FigureSpec> {
-    registry(scale, seed)
-        .into_iter()
-        .filter(|s| names.contains(&s.name))
-        .collect()
 }
 
 fn render_all(specs: &[FigureSpec], store: &ldsim_system::CellStore, dir: &Path) {
@@ -51,7 +44,8 @@ fn cold_and_warm_renders_are_byte_identical_with_trace_hashes() {
     let (scale, seed) = (Scale::Tiny, 11);
     // fig04 includes a tweaked cell (perfect coalescing) and the
     // ZeroDivergence scheduler; fig10 is a full PAPER_SCHEDULERS grid.
-    let specs = specs_named(scale, seed, &["fig02", "fig04", "fig10"]);
+    let names = ["fig02", "fig04", "fig10"].map(String::from);
+    let specs = select(scale, seed, Some(&names)).unwrap();
     assert_eq!(specs.len(), 3);
     let cells: Vec<_> = specs.iter().flat_map(|s| s.cells.iter().copied()).collect();
 
@@ -99,7 +93,7 @@ fn run_options_partition_the_cache() {
     let _guard = OPTS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tmp("repro-opts");
     let cache = dir.join("cellcache");
-    let specs = specs_named(Scale::Tiny, 13, &["fig02"]);
+    let specs = select(Scale::Tiny, 13, Some(&["fig02".to_string()])).unwrap();
     let cells: Vec<_> = specs.iter().flat_map(|s| s.cells.iter().copied()).collect();
     let cfg = SweepConfig {
         cache_path: Some(&cache),
@@ -173,10 +167,11 @@ fn crashed_repro_resumes_to_identical_bytes() {
     }
 }
 
-/// `--cold` must invalidate previous results (by deleting the cache) and
-/// `--hist` must be rejected outright.
+/// `--cold` must invalidate previous results (by deleting the cache), and
+/// `--hist` must render the histogram files without touching the cache —
+/// histograms do not round-trip through it.
 #[test]
-fn repro_cold_deletes_cache_and_hist_is_rejected() {
+fn repro_cold_deletes_cache_and_hist_leaves_it_alone() {
     let dir = tmp("repro-flags");
     let d = dir.to_str().unwrap();
     let out = repro(&["tiny", "--only", "fig12", "--out", d], &[]);
@@ -189,10 +184,35 @@ fn repro_cold_deletes_cache_and_hist_is_rejected() {
         stdout.contains("cold start: removed") && stdout.contains("0 from cache"),
         "--cold did not invalidate: {stdout}"
     );
-    let out = repro(&["tiny", "--hist", "--out", d], &[]);
-    assert!(!out.status.success(), "--hist must be rejected");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("histreport"), "unhelpful error: {stderr}");
+
+    // Armed on a fresh directory: histograms written, no store created.
+    let fresh = tmp("repro-hist");
+    let f = fresh.to_str().unwrap();
+    let out = repro(&["tiny", "--only", "fig08", "--hist", "--out", f], &[]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(!fresh.join("cellcache").exists(), "--hist created a store");
+    let hist = read(&fresh, "fig08.hist.jsonl");
+
+    // Armed over a warm store: the store's bytes and the figure stay put.
+    let out = repro(&["tiny", "--only", "fig08", "--out", d], &[]);
+    assert!(out.status.success(), "{out:?}");
+    let shards = |d: &Path| {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(d.join("cellcache"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        paths.sort();
+        paths
+            .iter()
+            .map(|p| std::fs::read(p).unwrap())
+            .collect::<Vec<_>>()
+    };
+    let (fig, store) = (read(&dir, "fig08.jsonl"), shards(&dir));
+    let out = repro(&["tiny", "--only", "fig08", "--hist", "--out", d], &[]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(shards(&dir) == store, "--hist changed the store");
+    assert!(read(&dir, "fig08.jsonl") == fig, "--hist changed fig08");
+    assert!(!hist.is_empty() && read(&dir, "fig08.hist.jsonl") == hist);
 }
 
 /// The engine salt in the binary is the one this test suite was built

@@ -14,13 +14,13 @@
 //!   \[Lakshminarayana+ CAL'11\], Section VI-C.1. Writes are interleaved
 //!   with reads (no batch draining), as the paper describes.
 
-use crate::policy::{CoordMsg, Policy, PolicyView};
+use crate::policy::{Policy, PolicyView};
 use ldsim_types::clock::Cycle;
 use ldsim_types::config::{MemConfig, SchedulerKind};
 use ldsim_types::ids::{GlobalWarpId, WarpGroupId};
 use ldsim_types::req::MemRequest;
 use ldsim_util::FnvHashMap;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Arrival-ordered request storage with per-bank occupancy counts, shared by
 /// the baseline policies. Backed by a `VecDeque` so the common oldest-first
@@ -724,11 +724,6 @@ pub fn make_baseline_policy(kind: SchedulerKind, mem: &MemConfig) -> Option<Box<
         SchedulerKind::Wg | SchedulerKind::WgM | SchedulerKind::WgBw | SchedulerKind::WgW => None,
     }
 }
-
-/// Unused-import shim so `CoordMsg`/`HashMap` stay available to doctests and
-/// future policies without warnings.
-#[doc(hidden)]
-pub fn _coord_msg_type_holder(_: Option<(CoordMsg, HashMap<u8, u8>)>) {}
 
 #[cfg(test)]
 mod tests {

@@ -79,7 +79,7 @@ fn main() {
             }
             "--scale" => {
                 let v = cli_value(&args, i, "--scale", USAGE);
-                if ldsim_server::parse_scale(v).is_none() {
+                if ldsim_workloads::Scale::parse(v).is_none() {
                     cli_fail(
                         USAGE,
                         &format!("--scale needs tiny, small, or full, got '{v}'"),

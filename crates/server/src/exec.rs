@@ -22,8 +22,8 @@
 //! ([`Rejection::ClientQueueFull`]) — the wire layer maps both to named
 //! `429` replies.
 
-use ldsim_bench::figures::registry;
-use ldsim_system::sweep::{cache_row, parse_cache_line, FigureSpec};
+use ldsim_bench::figures::select;
+use ldsim_system::sweep::{cache_row, parse_cache_line, unique_cells, FigureSpec};
 use ldsim_system::{
     run_one_kernel, Cell, CellStore, CompactStats, RunOpts, RunResult, ShardMap, ENGINE_SALT,
     ENGINE_SALT_HISTORY,
@@ -229,9 +229,9 @@ struct DiskStore {
     rows: FnvHashMap<u64, String>,
 }
 
-/// Kernel identity: (benchmark, scale ordinal, seed). Generation is
+/// Kernel identity: (benchmark, scale, seed). Generation is
 /// deterministic, so one shared program serves every cell that matches.
-type KernelKey = (&'static str, u8, u64);
+type KernelKey = (&'static str, Scale, u64);
 
 /// The farm core. Create with [`Exec::start`]; share via `Arc`.
 pub struct Exec {
@@ -246,14 +246,6 @@ pub struct Exec {
     /// Generated kernels, shared read-only across workers.
     kernels: Mutex<FnvHashMap<KernelKey, Arc<KernelProgram>>>,
     render_seq: AtomicU64,
-}
-
-fn scale_ord(s: Scale) -> u8 {
-    match s {
-        Scale::Tiny => 0,
-        Scale::Small => 1,
-        Scale::Full => 2,
-    }
 }
 
 /// Index every current-salt row on disk (last append wins, matching the
@@ -327,29 +319,11 @@ impl Exec {
     /// Accept or reject one job. On acceptance the job's new cells are
     /// enqueued and workers woken; on rejection *nothing* changes.
     pub fn submit(&self, req: &JobRequest) -> Result<SubmitReply, Rejection> {
-        let all = registry(req.scale, req.seed);
-        let specs: Vec<FigureSpec> = match &req.figures {
-            None => all,
-            Some(names) => {
-                for n in names {
-                    if !all.iter().any(|s| s.name == n.as_str()) {
-                        return Err(Rejection::UnknownFigure(n.clone()));
-                    }
-                }
-                all.into_iter()
-                    .filter(|s| names.iter().any(|n| n == s.name))
-                    .collect()
-            }
-        };
+        let specs = select(req.scale, req.seed, req.figures.as_deref())
+            .map_err(Rejection::UnknownFigure)?;
         let opts = RunOpts::default();
-        let declared: usize = specs.iter().map(|s| s.cells.len()).sum();
-        let mut unique: Vec<Cell> = Vec::new();
-        let mut seen = FnvHashSet::default();
-        for c in specs.iter().flat_map(|s| s.cells.iter()) {
-            if seen.insert(c.key(opts)) {
-                unique.push(*c);
-            }
-        }
+        let cells: Vec<Cell> = specs.iter().flat_map(|s| s.cells.iter().copied()).collect();
+        let unique = unique_cells(&cells, opts);
 
         let mut state = self.state.lock().unwrap();
         // Classify every unique cell. Disk hits are *collected*, not
@@ -359,8 +333,7 @@ impl Exec {
         let mut to_queue: Vec<Cell> = Vec::new();
         {
             let store = self.store.lock().unwrap();
-            for &cell in &unique {
-                let key = cell.key(opts);
+            for &(key, cell) in &unique {
                 if state.results.contains_key(&key) || state.failed.contains_key(&key) {
                     cached += 1;
                 } else if state.pending.contains(&key) {
@@ -404,7 +377,7 @@ impl Exec {
         }
         let job = state.next_job;
         state.next_job += 1;
-        let keys: Vec<u64> = unique.iter().map(|c| c.key(opts)).collect();
+        let keys: Vec<u64> = unique.iter().map(|&(key, _)| key).collect();
         state.jobs.insert(
             job,
             Job {
@@ -416,7 +389,7 @@ impl Exec {
         self.work.notify_all();
         Ok(SubmitReply {
             job,
-            declared,
+            declared: cells.len(),
             unique: unique.len(),
             cached,
             shared,
@@ -555,7 +528,7 @@ impl Exec {
     }
 
     fn kernel(&self, cell: &Cell) -> Arc<KernelProgram> {
-        let id = (cell.bench, scale_ord(cell.scale), cell.seed);
+        let id = (cell.bench, cell.scale, cell.seed);
         if let Some(k) = self.kernels.lock().unwrap().get(&id) {
             return k.clone();
         }
@@ -635,16 +608,6 @@ fn worker_loop(exec: Arc<Exec>) {
     }
 }
 
-/// Parse a wire scale name (`tiny|small|full`).
-pub fn parse_scale(s: &str) -> Option<Scale> {
-    match s {
-        "tiny" => Some(Scale::Tiny),
-        "small" => Some(Scale::Small),
-        "full" => Some(Scale::Full),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -698,14 +661,5 @@ mod tests {
         };
         assert_eq!(r.name(), "client_queue_full");
         assert!(r.detail().contains("'ci'"));
-    }
-
-    #[test]
-    fn parse_scale_is_the_wire_grammar() {
-        assert_eq!(parse_scale("tiny"), Some(Scale::Tiny));
-        assert_eq!(parse_scale("small"), Some(Scale::Small));
-        assert_eq!(parse_scale("full"), Some(Scale::Full));
-        assert_eq!(parse_scale("Tiny"), None, "the wire is lowercase-only");
-        assert_eq!(parse_scale(""), None);
     }
 }

@@ -27,11 +27,10 @@ pub mod exec;
 pub mod http;
 pub mod wire;
 
-pub use exec::{
-    parse_scale, Exec, ExecConfig, FigureOutput, JobRequest, JobStatus, Rejection, SubmitReply,
-};
+pub use exec::{Exec, ExecConfig, FigureOutput, JobRequest, JobStatus, Rejection, SubmitReply};
 
 use ldsim_util::JsonObject;
+use ldsim_workloads::Scale;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -183,7 +182,7 @@ fn post_job(stream: &mut TcpStream, exec: &Exec, body: &str) -> std::io::Result<
             &error_body("bad_job_json", "request body is not a flat JSON object"),
         );
     };
-    let scale = match p.req_str("scale").ok().and_then(parse_scale) {
+    let scale = match p.req_str("scale").ok().and_then(Scale::parse) {
         Some(s) => s,
         None => {
             return http::respond_json(

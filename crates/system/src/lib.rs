@@ -32,7 +32,7 @@ pub mod trace;
 
 pub use diff::{differential_check, DiffCell, DiffReport};
 pub use metrics::{RunHists, RunResult};
-pub use runner::{run_grid, run_one, run_one_kernel, run_opts, set_run_opts, GridCell, RunOpts};
+pub use runner::{run_one_kernel, run_opts, set_run_opts, RunOpts};
 pub use shard::{CompactStats, ShardMap};
 pub use sim::{Simulator, SyncStats};
 pub use sweep::{

@@ -1,26 +1,19 @@
-//! The experiment runner: sweeps {benchmark x scheduler} grids in parallel
-//! (one simulation per core via [`ldsim_util::parallel_map`]) and returns
-//! the cells for the figure binaries to format.
+//! The experiment runner: one benchmark under one scheduler with the
+//! paper's instruction budget and the runner's integrity checks
+//! ([`run_one_kernel`]), the process-wide [`RunOpts`], and the benchmark
+//! and scheduler lists the figures sweep. Grids of runs go through
+//! [`crate::sweep::run_sweep`].
 
 use crate::metrics::RunResult;
 use crate::sim::Simulator;
 use ldsim_types::config::{SchedulerKind, SimConfig};
 use ldsim_types::kernel::KernelProgram;
-use ldsim_util::parallel_map;
-use ldsim_workloads::{benchmark, Scale};
+use ldsim_workloads::Scale;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// One (benchmark, scheduler) simulation outcome.
-#[derive(Debug, Clone)]
-pub struct GridCell {
-    pub benchmark: String,
-    pub scheduler: SchedulerKind,
-    pub result: RunResult,
-}
-
-/// Process-wide options every [`run_one`] / [`run_grid`] call applies —
-/// how the bench binaries' `--audit` / `--trace` / `--hist` flags reach all
-/// the figure binaries without each one threading a config through.
+/// Process-wide options every [`run_one_kernel`] call applies — how the
+/// bench binaries' `--audit` / `--trace` / `--hist` flags reach every run
+/// of a sweep without each figure threading a config through.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunOpts {
     /// Attach the protocol conformance auditor to every channel; a run
@@ -69,31 +62,14 @@ pub(crate) fn test_opts_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Run one benchmark under one scheduler, using the paper's fixed
-/// instruction budget methodology (Section V): the run stops at 70% of the
-/// kernel's total instructions (or completion), so throughput — not the
-/// slowest warp's tail — is measured. Every scheduler executes the same
-/// instruction budget on the same kernel.
-pub fn run_one(bench: &str, scale: Scale, seed: u64, kind: SchedulerKind) -> RunResult {
-    run_one_with(bench, scale, seed, kind, |_| {})
-}
-
-/// Run one benchmark with a custom configuration tweak (applied on top of
-/// the process-wide [`RunOpts`], so a tweak can still override them).
-pub fn run_one_with(
-    bench: &str,
-    scale: Scale,
-    seed: u64,
-    kind: SchedulerKind,
-    tweak: impl Fn(&mut SimConfig),
-) -> RunResult {
-    let kernel = benchmark(bench, scale, seed).generate();
-    run_one_kernel(&kernel, bench, scale, seed, kind, tweak)
-}
-
-/// [`run_one_with`] on an already-generated kernel, so a grid (or the
-/// global sweep orchestrator, or `ldsim-server`'s cell executor) can share
-/// one generation per benchmark across scheduler cells.
+/// Run one benchmark's already-generated kernel under one scheduler, using
+/// the paper's fixed instruction budget methodology (Section V): the run
+/// stops at 70% of the kernel's total instructions (or completion), so
+/// throughput — not the slowest warp's tail — is measured. Every scheduler
+/// executes the same instruction budget on the same kernel, and the sweep
+/// (or `ldsim-server`'s cell executor) shares one generation per benchmark
+/// across scheduler cells. `tweak` applies on top of the process-wide
+/// [`RunOpts`], so it can still override them.
 pub fn run_one_kernel(
     kernel: &KernelProgram,
     bench: &str,
@@ -167,52 +143,6 @@ fn check_conservation(
     }
 }
 
-/// Run every (benchmark, scheduler) pair in parallel. Each benchmark's
-/// kernel is generated once per grid and shared read-only across its
-/// scheduler cells — every scheduler sees the identical workload, which the
-/// runner verifies by demanding identical retired-instruction counts across
-/// each benchmark row.
-pub fn run_grid(
-    benches: &[&str],
-    kinds: &[SchedulerKind],
-    scale: Scale,
-    seed: u64,
-) -> Vec<GridCell> {
-    let kernels: Vec<KernelProgram> =
-        parallel_map(benches.to_vec(), |b| benchmark(b, scale, seed).generate());
-    let pairs: Vec<(&str, &KernelProgram, SchedulerKind)> = benches
-        .iter()
-        .zip(&kernels)
-        .flat_map(|(&b, kern)| kinds.iter().map(move |&k| (b, kern, k)))
-        .collect();
-    let grid = parallel_map(pairs, |(b, kern, k)| GridCell {
-        result: run_one_kernel(kern, b, scale, seed, k, |_| {}),
-        benchmark: b.to_string(),
-        scheduler: k,
-    });
-    for row in grid.chunks(kinds.len()) {
-        let first = &row[0];
-        for c in row {
-            assert_eq!(
-                c.result.instructions, first.result.instructions,
-                "{}: {:?} retired a different instruction count than {:?} — \
-                 schedulers did not see the same workload",
-                c.benchmark, c.scheduler, first.scheduler
-            );
-        }
-    }
-    grid
-}
-
-/// Pull one cell out of a grid.
-pub fn cell<'a>(grid: &'a [GridCell], bench: &str, kind: SchedulerKind) -> &'a RunResult {
-    &grid
-        .iter()
-        .find(|c| c.benchmark == bench && c.scheduler == kind)
-        .unwrap_or_else(|| panic!("missing cell {bench}/{kind:?}"))
-        .result
-}
-
 /// The canonical scheduler ladders used by the figures.
 pub const PAPER_SCHEDULERS: &[SchedulerKind] = &[
     SchedulerKind::Gmc,
@@ -235,30 +165,7 @@ pub fn regular_names() -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn grid_runs_and_indexes() {
-        let grid = run_grid(
-            &["bfs", "nw"],
-            &[SchedulerKind::Gmc, SchedulerKind::Wg],
-            Scale::Tiny,
-            7,
-        );
-        assert_eq!(grid.len(), 4);
-        let c = cell(&grid, "bfs", SchedulerKind::Wg);
-        assert!(c.finished);
-        assert!(c.instructions > 0);
-        // Same workload across schedulers: identical instruction counts.
-        let g = cell(&grid, "bfs", SchedulerKind::Gmc);
-        assert_eq!(c.instructions, g.instructions);
-    }
-
-    #[test]
-    #[should_panic]
-    fn missing_cell_panics() {
-        let grid = run_grid(&["bfs"], &[SchedulerKind::Gmc], Scale::Tiny, 7);
-        cell(&grid, "bfs", SchedulerKind::WgW);
-    }
+    use ldsim_workloads::benchmark;
 
     #[test]
     fn run_opts_bits_round_trip() {
@@ -274,12 +181,13 @@ mod tests {
         // (or bench binary) arming trace after any earlier run silently kept
         // the stale options.
         let _guard = test_opts_lock();
+        let kernel = benchmark("bfs", Scale::Tiny, 3).generate();
         set_run_opts(RunOpts {
             audit: false,
             trace: true,
             hist: false,
         });
-        let a = run_one("bfs", Scale::Tiny, 3, SchedulerKind::Gmc);
+        let a = run_one_kernel(&kernel, "bfs", Scale::Tiny, 3, SchedulerKind::Gmc, |_| {});
         assert!(a.trace_hash.is_some(), "first write must apply");
         assert!(a.hists.is_none());
         set_run_opts(RunOpts {
@@ -288,7 +196,7 @@ mod tests {
             hist: true,
         });
         assert_eq!(run_opts().to_bits(), 0b101);
-        let b = run_one("bfs", Scale::Tiny, 3, SchedulerKind::Gmc);
+        let b = run_one_kernel(&kernel, "bfs", Scale::Tiny, 3, SchedulerKind::Gmc, |_| {});
         assert!(b.trace_hash.is_none(), "flipping trace off must apply");
         assert!(b.hists.is_some(), "flipping hist on must apply");
         assert!(b.audit_commands > 0, "flipping audit on must apply");
@@ -300,7 +208,8 @@ mod tests {
         // Lift the instruction budget so the run drains completely; the
         // runner's conservation check must then demand exact equality (and
         // this run must satisfy it).
-        let r = run_one_with("spmv", Scale::Tiny, 5, SchedulerKind::Wg, |cfg| {
+        let kernel = benchmark("spmv", Scale::Tiny, 5).generate();
+        let r = run_one_kernel(&kernel, "spmv", Scale::Tiny, 5, SchedulerKind::Wg, |cfg| {
             cfg.instruction_limit = None;
         });
         assert!(r.finished);

@@ -3,9 +3,9 @@
 //!
 //! The paper's evidence is a dozen figures and tables built from heavily
 //! overlapping (benchmark × scheduler × scale × seed × config) grids.
-//! Running each figure binary independently re-simulates the shared cells
-//! once per figure and regenerates every kernel per run. This module turns
-//! the whole reproduction into one job:
+//! Running each figure on its own would re-simulate the shared cells once
+//! per figure and regenerate every kernel per run. This module turns the
+//! whole reproduction into one job:
 //!
 //! 1. every figure/table declares its grid as a data-only [`FigureSpec`]
 //!    (a list of [`Cell`]s plus a render closure over a shared
@@ -14,8 +14,8 @@
 //!    content-addressed key, consults the crash-safe cache, generates each
 //!    distinct kernel once, and runs the remaining unique cells through one
 //!    work-stealing [`parallel_map`] pass;
-//! 3. each figure renders from the shared store — identical bytes to its
-//!    standalone binary, because the render code *is* the binary's body.
+//! 3. each figure renders from the shared store, reading only its own
+//!    cells — so one figure swept alone renders the same bytes.
 //!
 //! ## Cell-key contract
 //!
@@ -51,7 +51,8 @@ use ldsim_types::config::{
     CacheConfig, GpuConfig, MemConfig, PagePolicy, Preset, SchedulerKind, SimConfig, TimingParams,
 };
 use ldsim_types::kernel::KernelProgram;
-use ldsim_util::{parallel_map, Fnv64, FnvHashMap};
+use ldsim_util::{parallel_map, Fnv64, FnvHashMap, FnvHashSet};
+use ldsim_workloads::{benchmark, Scale};
 use std::path::Path;
 
 /// Engine-version salt folded into every cell key. Bump it whenever a
@@ -138,7 +139,7 @@ impl CfgTweak {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell {
     pub bench: &'static str,
-    pub scale: ldsim_workloads::Scale,
+    pub scale: Scale,
     pub seed: u64,
     pub kind: SchedulerKind,
     pub tweak: CfgTweak,
@@ -146,12 +147,7 @@ pub struct Cell {
 
 impl Cell {
     /// An untweaked cell — the overwhelmingly common case.
-    pub fn new(
-        bench: &'static str,
-        scale: ldsim_workloads::Scale,
-        seed: u64,
-        kind: SchedulerKind,
-    ) -> Self {
+    pub fn new(bench: &'static str, scale: Scale, seed: u64, kind: SchedulerKind) -> Self {
         Self {
             bench,
             scale,
@@ -184,18 +180,10 @@ impl Cell {
         let mut h = Fnv64::new();
         h.write(ENGINE_SALT.as_bytes());
         h.write(self.bench.as_bytes());
-        h.write_u8(scale_ord(self.scale));
+        h.write_u8(self.scale as u8);
         h.write_u64(self.seed);
         h.write_u64(config_fingerprint(&self.config(opts)));
         h.finish()
-    }
-}
-
-fn scale_ord(s: ldsim_workloads::Scale) -> u8 {
-    match s {
-        ldsim_workloads::Scale::Tiny => 0,
-        ldsim_workloads::Scale::Small => 1,
-        ldsim_workloads::Scale::Full => 2,
     }
 }
 
@@ -422,8 +410,8 @@ pub struct FigureSpec {
 /// How a sweep executes: where the cache lives, which salt validates it,
 /// and the test-only crash injection.
 pub struct SweepConfig<'a> {
-    /// Where completed cells persist; `None` disables caching (the
-    /// standalone figure binaries, which must behave exactly as before).
+    /// Where completed cells persist; `None` disables caching (`repro
+    /// --hist`, `histreport`, and tests that must not touch disk).
     /// The path is a *shard directory* ([`crate::shard::ShardMap`])
     /// holding [`Self::shards`] files partitioned by cellkey.
     pub cache_path: Option<&'a Path>,
@@ -464,11 +452,23 @@ pub struct SweepStats {
     pub skipped_lines: usize,
 }
 
+/// `cells` deduped by content-addressed key under `opts`, with their keys,
+/// in first-declaration order (a stable, resumable work list) — the one
+/// dedupe rule [`run_sweep`] and the `ldsim-server` job submissions share.
+pub fn unique_cells(cells: &[Cell], opts: RunOpts) -> Vec<(u64, Cell)> {
+    let mut seen = FnvHashSet::default();
+    cells
+        .iter()
+        .map(|&c| (c.key(opts), c))
+        .filter(|&(key, _)| seen.insert(key))
+        .collect()
+}
+
 /// Run every unique cell of `cells` (deduped by content-addressed key),
 /// consulting and appending to the cache per `cfg`, and return the shared
 /// store plus what happened. Panics on simulation integrity failures
 /// (dropped requests, audit violations, conservation, instruction-count
-/// mismatches) exactly like the per-figure runner does.
+/// mismatches).
 pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
     let opts = run_opts();
     let mut store = CellStore::new(opts);
@@ -480,16 +480,9 @@ pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
         skipped_lines: 0,
     };
 
-    // Global dedup, preserving first-declaration order for a stable,
-    // resumable work list.
-    let mut unique: Vec<Cell> = Vec::new();
-    let mut by_key: FnvHashMap<u64, Cell> = FnvHashMap::default();
-    for &cell in cells {
-        let key = cell.key(opts);
-        if by_key.insert(key, cell).is_none() {
-            unique.push(cell);
-        }
-    }
+    let keyed = unique_cells(cells, opts);
+    let by_key: FnvHashMap<u64, Cell> = keyed.iter().copied().collect();
+    let unique: Vec<Cell> = keyed.into_iter().map(|(_, c)| c).collect();
     stats.unique = unique.len();
 
     // Warm start: absorb every valid, currently-requested cache row.
@@ -514,24 +507,21 @@ pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
 
     // Generate each distinct kernel once, in parallel, then run the unique
     // cells through one work-stealing pass sharing the kernels read-only.
-    let mut kernel_ids: Vec<(&'static str, ldsim_workloads::Scale, u64)> = Vec::new();
+    let mut kernel_ids: Vec<(&'static str, Scale, u64)> = Vec::new();
     for c in &to_run {
         let id = (c.bench, c.scale, c.seed);
         if !kernel_ids.contains(&id) {
             kernel_ids.push(id);
         }
     }
-    let kernels: FnvHashMap<(&'static str, u8, u64), KernelProgram> = kernel_ids
-        .iter()
-        .map(|&(b, s, seed)| (b, scale_ord(s), seed))
-        .zip(parallel_map(kernel_ids.clone(), |(b, s, seed)| {
-            ldsim_workloads::benchmark(b, s, seed).generate()
-        }))
-        .collect();
+    let generated = parallel_map(kernel_ids.clone(), |(b, s, seed)| {
+        benchmark(b, s, seed).generate()
+    });
+    let kernels: FnvHashMap<_, KernelProgram> = kernel_ids.into_iter().zip(generated).collect();
 
     let salt = cfg.salt;
     let fresh: Vec<(Cell, RunResult)> = parallel_map(to_run, |cell| {
-        let kernel = &kernels[&(cell.bench, scale_ord(cell.scale), cell.seed)];
+        let kernel = &kernels[&(cell.bench, cell.scale, cell.seed)];
         let result = run_one_kernel(
             kernel,
             cell.bench,
@@ -545,7 +535,7 @@ pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
                 result.hists.is_none(),
                 "refusing to cache an armed-histogram run ({}/{:?}): \
                  distributions do not round-trip through the cell cache — \
-                 use the standalone histreport binary instead",
+                 sweep without a cache (`repro --hist`, histreport) instead",
                 cell.bench,
                 cell.kind
             );
@@ -638,18 +628,18 @@ pub fn parse_cache_line(
     Some((cell, result))
 }
 
-/// The cross-scheduler invariant `run_grid` enforced, applied globally:
-/// every untweaked cell of one (benchmark, scale, seed) must have retired
+/// The cross-scheduler invariant, applied globally: every untweaked cell
+/// of one (benchmark, scale, seed) must have retired
 /// the identical instruction count — schedulers saw the same workload under
 /// the same budget, whether the number came from the cache or a fresh run.
 fn verify_instruction_consistency(cells: &[Cell], store: &CellStore) {
-    let mut first: FnvHashMap<(&str, u8, u64), (&Cell, u64)> = FnvHashMap::default();
+    let mut first: FnvHashMap<(&str, Scale, u64), (&Cell, u64)> = FnvHashMap::default();
     for cell in cells {
         if cell.tweak != CfgTweak::None {
             continue;
         }
         let n = store.get(cell).instructions;
-        match first.entry((cell.bench, scale_ord(cell.scale), cell.seed)) {
+        match first.entry((cell.bench, cell.scale, cell.seed)) {
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert((cell, n));
             }

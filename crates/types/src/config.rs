@@ -319,6 +319,35 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
+    /// Every command-line spelling of every scheduler, canonical name first;
+    /// the single-run command lines parse through [`SchedulerKind::parse`].
+    pub const CLI_NAMES: &'static [(SchedulerKind, &'static [&'static str])] = &[
+        (SchedulerKind::Fcfs, &["fcfs"]),
+        (SchedulerKind::FrFcfs, &["fr-fcfs", "frfcfs"]),
+        (SchedulerKind::Gmc, &["gmc"]),
+        (SchedulerKind::Wafcfs, &["wafcfs"]),
+        (SchedulerKind::Sbwas { alpha_q: 2 }, &["sbwas"]),
+        (SchedulerKind::Sbwas { alpha_q: 1 }, &["sbwas-25"]),
+        (SchedulerKind::Sbwas { alpha_q: 3 }, &["sbwas-75"]),
+        (SchedulerKind::Wg, &["wg"]),
+        (SchedulerKind::WgM, &["wg-m", "wgm"]),
+        (SchedulerKind::WgBw, &["wg-bw", "wgbw"]),
+        (SchedulerKind::WgW, &["wg-w", "wgw"]),
+        (SchedulerKind::WgShared, &["wg-s", "wgs"]),
+        (SchedulerKind::ZeroDivergence, &["zero-div", "zerodiv"]),
+        (SchedulerKind::ParBs, &["par-bs", "parbs"]),
+        (SchedulerKind::AtlasLite, &["atlas"]),
+    ];
+
+    /// The scheduler spelled `s` in [`Self::CLI_NAMES`], in any case.
+    pub fn parse(s: &str) -> Option<SchedulerKind> {
+        let s = s.to_ascii_lowercase();
+        Self::CLI_NAMES
+            .iter()
+            .find(|(_, names)| names.contains(&s.as_str()))
+            .map(|&(kind, _)| kind)
+    }
+
     pub fn name(&self) -> &'static str {
         match self {
             SchedulerKind::Fcfs => "FCFS",
@@ -801,6 +830,37 @@ mod tests {
         assert!(SchedulerKind::WgBw.coordinates());
         assert!(!SchedulerKind::Wg.coordinates());
         assert!(!SchedulerKind::Gmc.coordinates());
+    }
+
+    #[test]
+    fn every_scheduler_kind_has_a_command_line_name() {
+        use SchedulerKind::*;
+        let mut named = 0u32;
+        for &(kind, names) in SchedulerKind::CLI_NAMES {
+            // Exhaustive on purpose: a new variant does not compile until it
+            // takes the next bit, and then the mask below wants a name for it.
+            let bit = match kind {
+                Fcfs => 0,
+                FrFcfs => 1,
+                Gmc => 2,
+                Wafcfs => 3,
+                Sbwas { .. } => 4,
+                Wg => 5,
+                WgM => 6,
+                WgBw => 7,
+                WgW => 8,
+                ZeroDivergence => 9,
+                ParBs => 10,
+                AtlasLite => 11,
+                WgShared => 12,
+            };
+            named |= 1 << bit;
+            for n in names {
+                assert_eq!(SchedulerKind::parse(&n.to_uppercase()), Some(kind), "{n}");
+            }
+        }
+        assert_eq!(named, (1 << 13) - 1, "a scheduler kind has no name");
+        assert_eq!(SchedulerKind::parse("wgx"), None);
     }
 
     #[test]

@@ -11,18 +11,36 @@ use ldsim_types::ids::LaneMask;
 use ldsim_types::kernel::{Instruction, KernelProgram, WarpProgram};
 use ldsim_util::rng::StdRng;
 
-/// Simulation scale: how much machine and how much work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Simulation scale: how much machine and how much work. The
+/// discriminants are the byte a sweep cell key hashes, so they never move.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// 2 SMs x 4 warps — unit/integration tests.
-    Tiny,
+    Tiny = 0,
     /// 8 SMs x 12 warps — quick experiments.
-    Small,
+    Small = 1,
     /// 30 SMs x 24 warps — the paper-scale configuration.
-    Full,
+    Full = 2,
 }
 
 impl Scale {
+    /// Every scale, smallest first.
+    pub const ALL: [Scale; 3] = [Scale::Tiny, Scale::Small, Scale::Full];
+
+    /// The command-line and wire name: `tiny`, `small` or `full`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Full => "full",
+        }
+    }
+
+    /// The scale named `s` (exactly [`Scale::name`], lowercase only).
+    pub fn parse(s: &str) -> Option<Scale> {
+        Scale::ALL.into_iter().find(|sc| sc.name() == s)
+    }
+
     pub fn num_sms(&self) -> usize {
         match self {
             Scale::Tiny => 2,
@@ -69,6 +87,12 @@ pub struct BenchmarkGen {
 /// On an unknown benchmark name — the registry is a fixed, documented set.
 pub fn benchmark(name: &str, scale: Scale, seed: u64) -> BenchmarkGen {
     benchmark_with_mem(name, scale, seed, &MemConfig::default())
+}
+
+/// Whether [`benchmark`] knows `name` — the check a command line makes
+/// before it generates anything, to report a typo as a named error.
+pub fn is_benchmark(name: &str) -> bool {
+    crate::microbench::find(name).is_some() || find(name).is_some()
 }
 
 /// [`benchmark`] against an explicit device geometry: the generated address
@@ -502,5 +526,16 @@ mod tests {
     #[should_panic]
     fn unknown_benchmark_panics() {
         benchmark("not-a-benchmark", Scale::Tiny, 0);
+    }
+
+    #[test]
+    fn scale_names_are_the_wire_grammar() {
+        for s in Scale::ALL {
+            assert_eq!(Scale::parse(s.name()), Some(s));
+        }
+        assert_eq!(Scale::parse("Tiny"), None, "the wire is lowercase-only");
+        assert_eq!(Scale::parse(""), None);
+        // The byte each scale contributes to a sweep cell key.
+        assert_eq!(Scale::ALL.map(|s| s as u8), [0, 1, 2]);
     }
 }

@@ -12,27 +12,6 @@ use ldsim::system::table::Table;
 use ldsim::workloads::{IRREGULAR, REGULAR};
 use std::io::Write;
 
-fn parse_scheduler(s: &str) -> Option<SchedulerKind> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "fcfs" => SchedulerKind::Fcfs,
-        "fr-fcfs" | "frfcfs" => SchedulerKind::FrFcfs,
-        "gmc" => SchedulerKind::Gmc,
-        "wafcfs" => SchedulerKind::Wafcfs,
-        "sbwas" => SchedulerKind::Sbwas { alpha_q: 2 },
-        "sbwas-25" => SchedulerKind::Sbwas { alpha_q: 1 },
-        "sbwas-75" => SchedulerKind::Sbwas { alpha_q: 3 },
-        "wg" => SchedulerKind::Wg,
-        "wg-m" | "wgm" => SchedulerKind::WgM,
-        "wg-bw" | "wgbw" => SchedulerKind::WgBw,
-        "wg-w" | "wgw" => SchedulerKind::WgW,
-        "zero-div" | "zerodiv" => SchedulerKind::ZeroDivergence,
-        "par-bs" | "parbs" => SchedulerKind::ParBs,
-        "atlas" => SchedulerKind::AtlasLite,
-        "wg-s" | "wgs" => SchedulerKind::WgShared,
-        _ => return None,
-    })
-}
-
 /// Named one-line error + usage + nonzero exit: a typo'd flag must say
 /// which flag went wrong, not just dump the usage text.
 fn fail(msg: &str) -> ! {
@@ -41,7 +20,8 @@ fn fail(msg: &str) -> ! {
         "usage: ldsim-cli [--list] --bench <name> [--scheduler <name>] \
          [--scale tiny|small|full] [--seed N] [--threads N] [--trace <csv-path>]"
     );
-    eprintln!("schedulers: fcfs fr-fcfs gmc wafcfs sbwas[-25|-75] wg wg-m wg-bw wg-w wg-s zero-div par-bs atlas");
+    let names: Vec<&str> = SchedulerKind::CLI_NAMES.iter().map(|(_, n)| n[0]).collect();
+    eprintln!("schedulers: {}", names.join(" "));
     std::process::exit(2)
 }
 
@@ -80,17 +60,14 @@ fn main() {
             }
             "--scheduler" => {
                 let v = value(&args, i, "--scheduler");
-                sched = parse_scheduler(v)
+                sched = SchedulerKind::parse(v)
                     .unwrap_or_else(|| fail(&format!("--scheduler: unknown scheduler '{v}'")));
                 i += 1;
             }
             "--scale" => {
-                scale = match value(&args, i, "--scale") {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    other => fail(&format!("--scale needs tiny|small|full, got '{other}'")),
-                };
+                let v = value(&args, i, "--scale");
+                scale = Scale::parse(v)
+                    .unwrap_or_else(|| fail(&format!("--scale needs tiny|small|full, got '{v}'")));
                 i += 1;
             }
             "--seed" => {
@@ -120,6 +97,11 @@ fn main() {
     let Some(bench) = bench else {
         fail("--bench is required (use --list to see the benchmark names)")
     };
+    if !ldsim::workloads::is_benchmark(&bench) {
+        fail(&format!(
+            "--bench: unknown benchmark '{bench}' (use --list to see the names)"
+        ));
+    }
 
     let kernel = benchmark(&bench, scale, seed).generate();
     let mut cfg = SimConfig::default().with_scheduler(sched);

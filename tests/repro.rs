@@ -1,8 +1,7 @@
-//! Equivalence of the global sweep orchestrator with per-figure execution:
-//! one deduped pass over the whole registry must render every figure's
-//! JSONL byte-identically to running that figure's cells alone — the
-//! property that makes `repro` a drop-in replacement for the per-figure
-//! binaries.
+//! One figure alone renders the same bytes as the whole sweep: one deduped
+//! pass over the whole registry must render every figure's JSONL
+//! byte-identically to sweeping that figure's cells alone — the property
+//! that lets `repro --only <figure>` stand for the full `repro` run.
 
 use ldsim_bench::figures::registry;
 use ldsim_system::sweep::{run_sweep, SweepConfig};
@@ -36,7 +35,7 @@ fn global_sweep_matches_per_figure_sweeps_byte_for_byte() {
         (spec.render)(&global_store, &global_dir);
     }
 
-    // Each figure alone, the way its standalone binary runs.
+    // Each figure alone, the way `repro --only <figure>` runs it.
     let solo_dir = dir.join("solo");
     for spec in &specs {
         let (store, _) = run_sweep(&spec.cells, &SweepConfig::default());
