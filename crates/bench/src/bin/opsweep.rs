@@ -12,11 +12,20 @@ use ldsim_system::table::{f2, f3, pct, Table};
 use ldsim_system::Simulator;
 use ldsim_types::config::{SchedulerKind, SimConfig};
 use ldsim_types::kernel::Instruction;
-use ldsim_workloads::{benchmark, Scale};
+use ldsim_util::cli_fail;
+use ldsim_workloads::{benchmark, is_benchmark, Scale};
+
+const USAGE: &str = "opsweep [bench]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(extra) = args.get(1) {
+        cli_fail(USAGE, &format!("unexpected argument '{extra}'"));
+    }
     let bench = args.first().map(|s| s.as_str()).unwrap_or("spmv");
+    if !is_benchmark(bench) {
+        cli_fail(USAGE, &format!("unknown benchmark '{bench}'"));
+    }
     println!("operating-point sweep for '{bench}' (Full scale)\n");
     let mut t = Table::new(&[
         "demand factor",

@@ -7,8 +7,7 @@
 //! the same bytes as in the whole sweep. Completed cells persist in a
 //! content-addressed sharded cache (`<out>/cellcache/`), so an interrupted
 //! run resumes where it died and a warm rerun re-renders everything
-//! without simulating at all. The same store backs the long-running
-//! `ldsim-server` farm, so farm rows and local rows are interchangeable.
+//! without simulating at all.
 //!
 //! ```text
 //! repro [tiny|small|full] [--seed N] [--jobs N] [--threads N]
@@ -27,9 +26,9 @@
 //! with `--hist` is an error too.
 
 use ldsim_bench::figures::{registry, select};
-use ldsim_bench::{cli_fail, cli_parse, cli_pos, cli_value};
 use ldsim_system::sweep::{run_sweep, SweepConfig, ENGINE_SALT};
 use ldsim_system::RunOpts;
+use ldsim_util::{cli_fail, cli_parse, cli_pos, cli_value};
 use ldsim_workloads::Scale;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -143,7 +142,6 @@ fn main() {
         cache_path: (!opts.hist).then_some(cache.as_path()),
         salt: ENGINE_SALT,
         max_simulated,
-        shards: ldsim_system::DEFAULT_SHARDS,
     };
     println!(
         "repro: {} figure(s) at {scale:?}, seed {seed}, {} worker(s) x {} sim thread(s), cache {}",

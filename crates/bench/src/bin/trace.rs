@@ -10,9 +10,9 @@
 //! executes with the protocol auditor armed and fails loudly on any
 //! timing violation.
 
-use ldsim_bench::{cli_fail, cli_parse, cli_pos, cli_value};
 use ldsim_system::Simulator;
 use ldsim_types::config::{SchedulerKind, SimConfig};
+use ldsim_util::{cli_fail, cli_parse, cli_pos, cli_value};
 use ldsim_workloads::{benchmark, is_benchmark, Scale};
 
 const USAGE: &str = "trace [bench] [tiny|small|full] [--seed N] [--scheduler NAME] [--threads N]";

@@ -50,9 +50,8 @@ pub fn registry(scale: Scale, seed: u64) -> Vec<FigureSpec> {
 }
 
 /// The registry narrowed to the figures named in `only` (all of it for
-/// `None`), in registry order — the one figure selection `repro --only`
-/// and the server's job submissions share. `Err` carries the first name
-/// the registry does not know.
+/// `None`), in registry order — the figure selection behind `repro
+/// --only`. `Err` carries the first name the registry does not know.
 pub fn select(scale: Scale, seed: u64, only: Option<&[String]>) -> Result<Vec<FigureSpec>, String> {
     let all = registry(scale, seed);
     let Some(names) = only else {

@@ -18,46 +18,9 @@ pub mod validate;
 
 use ldsim_system::{RunOpts, RunResult};
 use ldsim_util::json::JsonObject;
+use ldsim_util::{cli_fail, cli_parse, cli_pos, cli_value};
 use ldsim_workloads::Scale;
 use std::io::Write;
-
-/// One-line CLI failure: a named error to stderr, the usage line, and a
-/// nonzero exit. Every hand-rolled parser in the workspace binaries routes
-/// bad input here — a typo'd flag must produce a readable diagnostic, not a
-/// raw `expect` backtrace.
-pub fn cli_fail(usage: &str, msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("usage: {usage}");
-    std::process::exit(2)
-}
-
-/// The value following flag `args[i]`, or a named failure when the flag is
-/// the last argument.
-pub fn cli_value<'a>(args: &'a [String], i: usize, flag: &str, usage: &str) -> &'a str {
-    match args.get(i + 1) {
-        Some(v) => v.as_str(),
-        None => cli_fail(usage, &format!("{flag} needs a value but none followed")),
-    }
-}
-
-/// Parse a flag's value with [`FromStr`](std::str::FromStr), naming the
-/// flag and the offending text on failure.
-pub fn cli_parse<T: std::str::FromStr>(raw: &str, flag: &str, what: &str, usage: &str) -> T {
-    raw.trim()
-        .parse()
-        .unwrap_or_else(|_| cli_fail(usage, &format!("{flag} needs {what}, got '{raw}'")))
-}
-
-/// Parse a flag's value as a positive integer (worker/thread counts).
-pub fn cli_pos(raw: &str, flag: &str, usage: &str) -> usize {
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => cli_fail(
-            usage,
-            &format!("{flag} needs a positive integer, got '{raw}'"),
-        ),
-    }
-}
 
 /// The shared harness usage line (see [`cli`]).
 pub const CLI_USAGE: &str =

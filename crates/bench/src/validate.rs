@@ -425,12 +425,12 @@ pub fn standalone_main() {
     while i < args.len() {
         match args[i].as_str() {
             "--out" => {
-                out = PathBuf::from(crate::cli_value(&args, i, "--out", USAGE));
+                out = PathBuf::from(ldsim_util::cli_value(&args, i, "--out", USAGE));
                 i += 1;
             }
             other => match Scale::parse(other) {
                 Some(s) => scales.push(s),
-                None => crate::cli_fail(USAGE, &format!("unknown argument '{other}'")),
+                None => ldsim_util::cli_fail(USAGE, &format!("unknown argument '{other}'")),
             },
         }
         i += 1;

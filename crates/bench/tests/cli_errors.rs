@@ -2,9 +2,9 @@
 //!
 //! Bad input — a flag missing its value, a non-numeric number, an unknown
 //! flag — must produce a *named* one-line error on stderr plus the usage
-//! text and a nonzero exit, in both the `repro` orchestrator and the
-//! shared-harness binaries (exercised through `perfreport`, which parses
-//! argv before doing any work). A raw `expect` backtrace, or a silently
+//! text and a nonzero exit, in the `repro` orchestrator, `trace`, `opsweep`
+//! and the shared-harness binaries (exercised through `perfreport`, which
+//! parses argv before doing any work). A raw `expect` backtrace, or a silently
 //! accepted typo, fails this suite.
 
 use std::process::{Command, Output};
@@ -89,6 +89,15 @@ fn trace_rejects_bad_arguments_with_named_errors() {
     assert_cli_error(bin, &["--threads", "nope"], "--threads");
     assert_cli_error(bin, &["--colde"], "--colde");
     assert_cli_error(bin, &["nope", "tiny"], "nope");
+}
+
+/// Failing inputs only: a valid `opsweep` run is five Full-scale
+/// simulations per scheduler.
+#[test]
+fn opsweep_rejects_bad_arguments_with_named_errors() {
+    let bin = env!("CARGO_BIN_EXE_opsweep");
+    assert_cli_error(bin, &["nope"], "nope");
+    assert_cli_error(bin, &["spmv", "extra"], "extra");
 }
 
 /// Asking for more partition threads than the machine has memory

@@ -26,17 +26,6 @@ pub struct CacheStats {
     pub dirty_evictions: u64,
 }
 
-impl CacheStats {
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A tag-only set-associative LRU cache, addressed by line number.
 #[derive(Debug, Clone)]
 pub struct Cache {

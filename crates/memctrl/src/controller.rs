@@ -90,16 +90,6 @@ pub struct CtrlStats {
     pub drain_stalled_orphan: u64,
 }
 
-impl CtrlStats {
-    pub fn avg_read_latency(&self) -> f64 {
-        if self.read_latency_cnt == 0 {
-            0.0
-        } else {
-            self.read_latency_sum as f64 / self.read_latency_cnt as f64
-        }
-    }
-}
-
 /// One memory channel's controller.
 pub struct Controller {
     pub id: ChannelId,
@@ -810,11 +800,6 @@ impl Controller {
     /// Protocol violations the auditor has counted (0 when auditing is off).
     pub fn audit_violation_count(&self) -> u64 {
         self.channel.audit_violation_count()
-    }
-
-    /// Name of the active policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Diagnostic counters from the policy (see [`Policy::counters`]).

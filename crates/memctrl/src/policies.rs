@@ -33,13 +33,6 @@ pub struct ReqStore {
 }
 
 impl ReqStore {
-    pub fn with_banks(n: usize) -> Self {
-        Self {
-            reqs: VecDeque::new(),
-            bank_count: vec![0; n],
-        }
-    }
-
     pub fn push(&mut self, req: MemRequest) {
         self.ensure_banks(req.decoded.bank.0 as usize + 1);
         self.bank_count[req.decoded.bank.0 as usize] += 1;

@@ -33,11 +33,10 @@ pub mod trace;
 pub use diff::{differential_check, DiffCell, DiffReport};
 pub use metrics::{RunHists, RunResult};
 pub use runner::{run_one_kernel, run_opts, set_run_opts, RunOpts};
-pub use shard::{CompactStats, ShardMap};
 pub use sim::{Simulator, SyncStats};
 pub use sweep::{
-    config_fingerprint, run_sweep, salt_generation, Cell, CellStore, CfgTweak, FigureSpec,
-    SweepConfig, SweepStats, DEFAULT_SHARDS, ENGINE_SALT, ENGINE_SALT_HISTORY,
+    config_fingerprint, run_sweep, Cell, CellStore, CfgTweak, FigureSpec, SweepConfig, SweepStats,
+    DEFAULT_SHARDS, ENGINE_SALT,
 };
 pub use table::Table;
 pub use trace::{Trace, WgEvent, WgStage};

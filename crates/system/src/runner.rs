@@ -67,9 +67,9 @@ pub(crate) fn test_opts_lock() -> std::sync::MutexGuard<'static, ()> {
 /// stops at 70% of the kernel's total instructions (or completion), so
 /// throughput — not the slowest warp's tail — is measured. Every scheduler
 /// executes the same instruction budget on the same kernel, and the sweep
-/// (or `ldsim-server`'s cell executor) shares one generation per benchmark
-/// across scheduler cells. `tweak` applies on top of the process-wide
-/// [`RunOpts`], so it can still override them.
+/// shares one generation per benchmark across scheduler cells. `tweak`
+/// applies on top of the process-wide [`RunOpts`], so it can still
+/// override them.
 pub fn run_one_kernel(
     kernel: &KernelProgram,
     bench: &str,

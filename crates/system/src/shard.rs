@@ -1,5 +1,5 @@
 //! The sharded cell log: the on-disk half of the content-addressed cell
-//! cache, N append-only shard files plus a crash-safe compaction pass.
+//! cache, N append-only shard files.
 //!
 //! ## Layout
 //!
@@ -18,72 +18,27 @@
 //! stay balanced without any placement logic. The shard count is fixed at
 //! creation and recorded in `shards.meta`; opening an existing map with a
 //! different requested count keeps the on-disk layout (the meta file wins)
-//! so a misconfigured client cannot scatter rows across two geometries.
+//! so rows are never scattered across two geometries.
 //!
-//! ## Compaction & eviction
+//! ## Junk rows
 //!
-//! Shard files are append-only: re-running a sweep after a salt bump, a
-//! crash mid-append, or years of churn leaves stale, torn, and superseded
-//! rows behind. [`ShardMap::compact`] rewrites each shard keeping only the
-//! *newest* (last-appended) row per cellkey, dropping:
-//!
-//! * **torn** rows — unparsable lines (crash mid-append) or rows missing
-//!   the `cellkey`/`engine` envelope;
-//! * **stale** rows — engine salt more than one generation behind the
-//!   current [`ENGINE_SALT`](crate::sweep::ENGINE_SALT) (per the history
-//!   passed in, normally
-//!   [`ENGINE_SALT_HISTORY`](crate::sweep::ENGINE_SALT_HISTORY)). Rows
-//!   exactly one generation old are *kept* — they are dead weight for this
-//!   binary but a rollback or a mixed-version farm can still serve them —
-//!   and anything older is evicted;
-//! * **misplaced** rows — rows whose cellkey does not map to the shard
-//!   they sit in (a foreign tool or a re-sharded copy). Dropping a valid
-//!   row costs a re-simulation, never a wrong answer, so eviction is
-//!   always safe;
-//! * **superseded** rows — older appends for a key that appears again
-//!   later in the same shard.
-//!
-//! Crash safety: each shard is rewritten to `<shard>.tmp`, synced, then
-//! atomically renamed over the original. A crash at any point leaves
-//! either the old shard or the new one — never a torn mix — and the loader
-//! skips whatever half-written `.tmp` files remain.
+//! Shard files are append-only and never rewritten. A crash mid-append
+//! leaves a torn final line, and an engine-salt bump leaves stale rows
+//! behind; the loader skips both (a stale row costs a re-simulation, never
+//! a wrong answer), and `repro --cold` starts a store afresh. An append
+//! after a torn tail starts a new line first, so the torn fragment never
+//! swallows a good row.
 
-use ldsim_util::FnvHashMap;
-use std::io::Write as _;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Name of the layout-contract file inside a shard directory.
-pub const META_FILE: &str = "shards.meta";
+const META_FILE: &str = "shards.meta";
 
 /// Hard ceiling on the shard count — far above any sensible layout, low
-/// enough that a typo'd `--shards 99999999` cannot create a directory with
+/// enough that a corrupt `shards.meta` cannot create a directory with
 /// millions of files.
-pub const MAX_SHARDS: usize = 4096;
-
-/// What one [`ShardMap::compact`] pass did, per the whole map.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompactStats {
-    /// Rows surviving compaction (newest valid row per key).
-    pub rows_kept: usize,
-    /// Rows dropped: salt more than one generation old (or unknown).
-    pub rows_stale: usize,
-    /// Rows dropped: unparsable line or missing cellkey/engine envelope.
-    pub rows_torn: usize,
-    /// Rows dropped: an append for the same key appears later.
-    pub rows_superseded: usize,
-    /// Rows dropped: cellkey does not map to the shard holding the row.
-    pub rows_misplaced: usize,
-    /// Total shard bytes before and after the pass.
-    pub bytes_before: u64,
-    pub bytes_after: u64,
-}
-
-impl CompactStats {
-    /// Total rows dropped by the pass.
-    pub fn rows_dropped(&self) -> usize {
-        self.rows_stale + self.rows_torn + self.rows_superseded + self.rows_misplaced
-    }
-}
+const MAX_SHARDS: usize = 4096;
 
 /// A sharded append-only cell log rooted at one directory.
 #[derive(Debug, Clone)]
@@ -95,9 +50,7 @@ pub struct ShardMap {
 impl ShardMap {
     /// Open (creating if necessary) the shard map at `dir`. A fresh
     /// directory is laid out with `shards` shard files; an existing one
-    /// keeps its recorded count — the on-disk layout is the contract, and
-    /// a caller asking for a different count gets the real one back via
-    /// [`Self::shards`].
+    /// keeps its recorded count — the on-disk layout is the contract.
     pub fn open(dir: &Path, shards: usize) -> ShardMap {
         assert!(
             (1..=MAX_SHARDS).contains(&shards),
@@ -139,16 +92,6 @@ impl ShardMap {
         }
     }
 
-    /// The recorded shard count (may differ from the one requested at
-    /// [`Self::open`] when the directory already existed).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Which shard a cellkey lives in. FNV-1a keys are uniform over `u64`,
     /// so a plain modulus balances the shards.
     pub fn shard_of(&self, key: u64) -> usize {
@@ -170,16 +113,33 @@ impl ShardMap {
 
     /// Append one serialized row (must be newline-terminated) under `key`.
     /// Single `write_all`, so a crash tears at most the final line of one
-    /// shard — which the loader and compactor both skip.
+    /// shard, which the loader skips. If the shard already ends in such a
+    /// torn line, the row starts a new line instead of being glued onto it.
+    /// Racing appenders can at worst both do so, leaving an empty line that
+    /// the loader ignores.
     pub fn append(&self, key: u64, row: &str) {
         debug_assert!(row.ends_with('\n'), "cache rows are newline-framed");
         let path = self.shard_path(self.shard_of(key));
         let mut f = std::fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(&path)
             .unwrap_or_else(|e| panic!("cannot open shard {}: {e}", path.display()));
-        f.write_all(row.as_bytes())
+        // An empty shard cannot seek to -1, and has no tail to tear.
+        let mut last = [b'\n'];
+        if f.seek(SeekFrom::End(-1)).is_ok() {
+            f.read_exact(&mut last)
+                .unwrap_or_else(|e| panic!("cannot read shard {}: {e}", path.display()));
+        }
+        let framed;
+        let bytes = if last[0] == b'\n' {
+            row
+        } else {
+            framed = format!("\n{row}");
+            &framed
+        };
+        f.write_all(bytes.as_bytes())
             .unwrap_or_else(|e| panic!("shard append failed ({}): {e}", path.display()));
     }
 
@@ -191,110 +151,6 @@ impl ShardMap {
             .map(|m| m.len())
             .sum()
     }
-
-    /// Rewrite every shard keeping only the newest valid row per cellkey,
-    /// evicting rows whose engine salt is more than one generation behind
-    /// `history[0]` (see the module docs for the full policy). Crash-safe:
-    /// write-temp-then-rename per shard.
-    pub fn compact(&self, history: &[&str]) -> CompactStats {
-        assert!(!history.is_empty(), "salt history cannot be empty");
-        let mut stats = CompactStats::default();
-        for i in 0..self.shards {
-            compact_shard(self, i, history, &mut stats);
-        }
-        stats
-    }
-}
-
-/// Compaction body for one shard of `map`: rewrite it keeping the newest
-/// valid row per key. A missing shard is a no-op.
-fn compact_shard(map: &ShardMap, shard: usize, history: &[&str], stats: &mut CompactStats) {
-    let path = map.shard_path(shard);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return,
-        Err(e) => panic!("cannot read cell log {}: {e}", path.display()),
-    };
-    stats.bytes_before += text.len() as u64;
-    // First pass: decide, per key, which line index survives (the last
-    // valid append wins).
-    let mut keep: FnvHashMap<u64, usize> = FnvHashMap::default();
-    let mut verdicts: Vec<Option<u64>> = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        match classify(line, history) {
-            RowVerdict::Keep(key) => {
-                if map.shard_of(key) != shard {
-                    stats.rows_misplaced += 1;
-                    verdicts.push(None);
-                    continue;
-                }
-                if keep.insert(key, idx).is_some() {
-                    stats.rows_superseded += 1;
-                }
-                verdicts.push(Some(key));
-            }
-            RowVerdict::Torn => {
-                stats.rows_torn += 1;
-                verdicts.push(None);
-            }
-            RowVerdict::Stale => {
-                stats.rows_stale += 1;
-                verdicts.push(None);
-            }
-        }
-    }
-    // Second pass: emit surviving lines in their original order.
-    let mut out = String::with_capacity(text.len());
-    for (idx, line) in text.lines().enumerate() {
-        if let Some(key) = verdicts[idx] {
-            if keep.get(&key) == Some(&idx) {
-                out.push_str(line);
-                out.push('\n');
-                stats.rows_kept += 1;
-            }
-        }
-    }
-    stats.bytes_after += out.len() as u64;
-    let tmp = path.with_extension(format!("jsonl.tmp.{}", std::process::id()));
-    {
-        let mut f = std::fs::File::create(&tmp)
-            .unwrap_or_else(|e| panic!("cannot create {}: {e}", tmp.display()));
-        f.write_all(out.as_bytes())
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", tmp.display()));
-        f.sync_all()
-            .unwrap_or_else(|e| panic!("cannot sync {}: {e}", tmp.display()));
-    }
-    std::fs::rename(&tmp, &path)
-        .unwrap_or_else(|e| panic!("cannot commit compacted log {}: {e}", path.display()));
-}
-
-enum RowVerdict {
-    Keep(u64),
-    Torn,
-    Stale,
-}
-
-/// Classify one log line under the compaction policy. Only the envelope
-/// (cellkey + engine salt) is inspected — full result validation stays
-/// where it always was, at load time against the requested cell set.
-fn classify(line: &str, history: &[&str]) -> RowVerdict {
-    if line.trim().is_empty() {
-        return RowVerdict::Torn;
-    }
-    let Ok(obj) = ldsim_util::parse_object(line) else {
-        return RowVerdict::Torn;
-    };
-    let (Ok(key_hex), Ok(salt)) = (obj.req_str("cellkey"), obj.req_str("engine")) else {
-        return RowVerdict::Torn;
-    };
-    let Ok(key) = u64::from_str_radix(key_hex, 16) else {
-        return RowVerdict::Torn;
-    };
-    match history.iter().position(|s| *s == salt) {
-        Some(generation) if generation <= 1 => {}
-        _ => return RowVerdict::Stale,
-    }
-    RowVerdict::Keep(key)
 }
 
 #[cfg(test)]
@@ -315,7 +171,7 @@ mod tests {
     fn keys_route_to_their_shard_and_meta_pins_the_layout() {
         let dir = tmp("route");
         let map = ShardMap::open(&dir, 4);
-        assert_eq!(map.shards(), 4);
+        assert_eq!(map.shard_paths().len(), 4);
         for key in [0u64, 1, 5, 7, 1 << 60] {
             map.append(key, &row(key, "s", 1));
         }
@@ -330,76 +186,40 @@ mod tests {
         }
         // Re-opening with a different requested count keeps the layout.
         let reopened = ShardMap::open(&dir, 16);
-        assert_eq!(reopened.shards(), 4, "shards.meta must win over the caller");
+        assert_eq!(
+            reopened.shard_paths(),
+            map.shard_paths(),
+            "shards.meta must win over the caller"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn compaction_keeps_newest_drops_torn_stale_misplaced() {
-        let dir = tmp("compact");
+    fn append_after_a_torn_tail_starts_a_new_line() {
+        let dir = tmp("torn");
         let map = ShardMap::open(&dir, 2);
-        let history = ["salt-new", "salt-prev", "salt-ancient"];
-        // Superseded: two appends for key 2 — the later payload survives.
-        map.append(2, &row(2, "salt-new", 1));
-        map.append(2, &row(2, "salt-new", 2));
-        // One-generation-old salt: kept (rollback grace).
-        map.append(4, &row(4, "salt-prev", 3));
-        // Two generations old and unknown: evicted.
-        map.append(6, &row(6, "salt-ancient", 4));
-        map.append(8, &row(8, "salt-from-mars", 5));
-        // Torn final line (crash mid-append) in shard 1.
+        map.append(2, &row(2, "s", 1));
+        // A crash mid-append leaves a final line with no newline.
         {
-            use std::io::Write;
             let mut f = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(map.shard_path(1))
-                .unwrap();
-            write!(f, "{{\"cellkey\":\"0000000000000003\",\"eng").unwrap();
-        }
-        // Misplaced: a key-5 row hand-placed in shard 0.
-        {
-            use std::io::Write;
-            let mut f = std::fs::OpenOptions::new()
-                .create(true)
                 .append(true)
                 .open(map.shard_path(0))
                 .unwrap();
-            f.write_all(row(5, "salt-new", 6).as_bytes()).unwrap();
+            write!(f, "{{\"cellkey\":\"0000000000000004\",\"eng").unwrap();
         }
-
-        let before = map.total_bytes();
-        let stats = map.compact(&history);
-        assert_eq!(stats.rows_kept, 2, "{stats:?}");
-        assert_eq!(stats.rows_superseded, 1, "{stats:?}");
-        assert_eq!(stats.rows_stale, 2, "{stats:?}");
-        assert_eq!(stats.rows_torn, 1, "{stats:?}");
-        assert_eq!(stats.rows_misplaced, 1, "{stats:?}");
-        assert_eq!(stats.bytes_before, before);
-        assert_eq!(stats.bytes_after, map.total_bytes());
-        assert!(stats.bytes_after < stats.bytes_before);
-
-        // The survivors: newest key-2 row and the grace-generation key-4.
-        let all: String = map
-            .shard_paths()
-            .iter()
-            .filter_map(|p| std::fs::read_to_string(p).ok())
-            .collect();
-        assert!(all.contains("\"payload\":2"), "{all}");
-        assert!(all.contains("\"payload\":3"), "{all}");
-        for gone in [
-            "\"payload\":1",
-            "\"payload\":4",
-            "\"payload\":5",
-            "\"payload\":6",
-        ] {
-            assert!(!all.contains(gone), "{gone} survived compaction: {all}");
+        map.append(4, &row(4, "s", 2));
+        map.append(6, &row(6, "s", 3));
+        let text = std::fs::read_to_string(map.shard_path(0)).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "{text}");
+        assert!(ldsim_util::parse_object(lines[1]).is_err(), "torn line");
+        for (line, (key, payload)) in
+            [lines[0], lines[2], lines[3]]
+                .into_iter()
+                .zip([(2, 1), (4, 2), (6, 3)])
+        {
+            assert_eq!(line, row(key, "s", payload).trim_end(), "{text}");
         }
-        // Compaction is idempotent: a second pass changes nothing.
-        let stats2 = map.compact(&history);
-        assert_eq!(stats2.rows_kept, 2);
-        assert_eq!(stats2.rows_dropped(), 0);
-        assert_eq!(stats2.bytes_before, stats2.bytes_after);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -63,24 +63,9 @@ use std::path::Path;
 /// reviewers' guide: if they needed re-blessing, bump the salt.
 pub const ENGINE_SALT: &str = "ldsim-engine-2026-08-07";
 
-/// Every engine salt this repository has shipped, newest first — the
-/// *generation history* behind the shard compactor's eviction policy
-/// (DESIGN.md §19). When [`ENGINE_SALT`] is bumped, push the old value onto
-/// the front of the tail instead of deleting it: compaction keeps rows at
-/// generation 0 (current) and 1 (previous — a rollback or a mixed-version
-/// sweep farm can still serve them) and evicts anything older or unknown.
-/// The warm-start loader is stricter and only ever *serves* generation 0.
-pub const ENGINE_SALT_HISTORY: &[&str] = &[ENGINE_SALT];
-
-/// Generation distance of `salt` from the current engine: 0 = current,
-/// 1 = previous, `None` = unknown (foreign or pre-history).
-pub fn salt_generation(salt: &str) -> Option<usize> {
-    ENGINE_SALT_HISTORY.iter().position(|s| *s == salt)
-}
-
-/// Default shard count for the cell cache (the `repro` binary and
-/// `ldsim-server`). 8 shards keep individual files small at Full scale
-/// while staying trivial to eyeball in a directory listing.
+/// Shard count of a fresh cell cache; an existing cache keeps the count
+/// its `shards.meta` records. 8 shards keep individual files small at Full
+/// scale while staying trivial to eyeball in a directory listing.
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// A data-only configuration variation — everything the figure/ablation
@@ -412,8 +397,8 @@ pub struct FigureSpec {
 pub struct SweepConfig<'a> {
     /// Where completed cells persist; `None` disables caching (`repro
     /// --hist`, `histreport`, and tests that must not touch disk).
-    /// The path is a *shard directory* ([`crate::shard::ShardMap`])
-    /// holding [`Self::shards`] files partitioned by cellkey.
+    /// The path is a *shard directory* ([`crate::shard::ShardMap`]) of
+    /// files partitioned by cellkey, [`DEFAULT_SHARDS`] of them when fresh.
     pub cache_path: Option<&'a Path>,
     /// Salt cached rows must carry. Production always passes
     /// [`ENGINE_SALT`]; tests pass a different salt to prove invalidation.
@@ -421,9 +406,6 @@ pub struct SweepConfig<'a> {
     /// Stop after simulating this many cells (cache rows for them are
     /// already appended) — the crash-resume tests' kill switch.
     pub max_simulated: Option<usize>,
-    /// Shard count for a fresh cache directory, overridden by an existing
-    /// directory's `shards.meta` (the on-disk layout wins).
-    pub shards: usize,
 }
 
 impl Default for SweepConfig<'_> {
@@ -432,7 +414,6 @@ impl Default for SweepConfig<'_> {
             cache_path: None,
             salt: ENGINE_SALT,
             max_simulated: None,
-            shards: DEFAULT_SHARDS,
         }
     }
 }
@@ -453,9 +434,8 @@ pub struct SweepStats {
 }
 
 /// `cells` deduped by content-addressed key under `opts`, with their keys,
-/// in first-declaration order (a stable, resumable work list) — the one
-/// dedupe rule [`run_sweep`] and the `ldsim-server` job submissions share.
-pub fn unique_cells(cells: &[Cell], opts: RunOpts) -> Vec<(u64, Cell)> {
+/// in first-declaration order (a stable, resumable work list).
+fn unique_cells(cells: &[Cell], opts: RunOpts) -> Vec<(u64, Cell)> {
     let mut seen = FnvHashSet::default();
     cells
         .iter()
@@ -486,7 +466,9 @@ pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
     stats.unique = unique.len();
 
     // Warm start: absorb every valid, currently-requested cache row.
-    let cache = cfg.cache_path.map(|path| ShardMap::open(path, cfg.shards));
+    let cache = cfg
+        .cache_path
+        .map(|path| ShardMap::open(path, DEFAULT_SHARDS));
     if let Some(map) = &cache {
         stats.skipped_lines = map
             .shard_paths()
@@ -556,9 +538,8 @@ pub fn run_sweep(cells: &[Cell], cfg: &SweepConfig) -> (CellStore, SweepStats) {
     (store, stats)
 }
 
-/// Serialise one completed cell as a self-describing cache line — the wire
-/// format shared by the shard store and the `ldsim-server` job results. Public so the server can persist cells it
-/// ran outside [`run_sweep`] in the identical format.
+/// Serialise one completed cell as a self-describing cache line, the row
+/// format of the shard store.
 pub fn cache_row(cell: &Cell, opts: RunOpts, salt: &str, result: &RunResult) -> String {
     let result_json = result.to_json();
     format!(
@@ -602,9 +583,8 @@ fn load_cache(
 
 /// Validate one cache line: parses, salt matches, its key re-derives from a
 /// requested cell, and the stored benchmark/config agree with that cell
-/// (belt and braces against key collisions and hand-edited files). Public
-/// for the same reason as [`cache_row`]: the server's dedupe path trusts a
-/// disk row only after it passes exactly this check.
+/// (belt and braces against key collisions and hand-edited files). This is
+/// the one parser of the store's rows.
 pub fn parse_cache_line(
     line: &str,
     salt: &str,
@@ -1008,13 +988,14 @@ mod tests {
         };
         let (_, s1) = run_sweep(&cells, &crashed);
         assert_eq!(s1.simulated, 1);
-        // Simulate a torn final line from a mid-append crash.
-        {
+        // A torn final line from a mid-append crash, on every shard, so
+        // whichever shards the resumed cells land in start out torn.
+        for path in ShardMap::open(&cache, DEFAULT_SHARDS).shard_paths() {
             use std::io::Write;
             let mut f = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(ShardMap::open(&cache, DEFAULT_SHARDS).shard_path(0))
+                .open(path)
                 .unwrap();
             write!(
                 f,
@@ -1022,7 +1003,7 @@ mod tests {
             )
             .unwrap();
         }
-        // Resume: picks up the finished cell, skips the torn line, runs
+        // Resume: picks up the finished cell, skips the torn lines, runs
         // the remaining two.
         let cfg = SweepConfig {
             cache_path: Some(&cache),
@@ -1031,12 +1012,22 @@ mod tests {
         let (store, s2) = run_sweep(&cells, &cfg);
         assert_eq!(s2.from_cache, 1);
         assert_eq!(s2.simulated, 2);
-        assert!(s2.skipped_lines >= 1, "torn line must be skipped");
+        assert_eq!(
+            s2.skipped_lines, DEFAULT_SHARDS,
+            "torn lines must be skipped"
+        );
         assert_eq!(store.len(), 3);
+        // The rows appended after the torn tails survive: a warm rerun
+        // simulates nothing.
+        let (warm, s3) = run_sweep(&cells, &cfg);
+        assert_eq!(s3.simulated, 0, "a row appended after a torn tail was lost");
+        assert_eq!(s3.from_cache, 3);
+        assert_eq!(s3.skipped_lines, DEFAULT_SHARDS);
         // A cache-free run agrees bit-exactly with the resumed one.
         let (fresh, _) = run_sweep(&cells, &SweepConfig::default());
         for c in &cells {
             assert_eq!(fresh.get(c), store.get(c), "resume must be bit-exact");
+            assert_eq!(warm.get(c), store.get(c), "reload must be bit-exact");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1049,40 +1040,17 @@ mod tests {
     }
 
     #[test]
-    fn salt_history_starts_at_the_current_salt_and_stays_key_safe() {
-        // The compactor's generation arithmetic and the CI cache key both
-        // hang off this list: generation 0 must be ENGINE_SALT itself,
-        // every entry must be unique, and every entry must stay shell- and
-        // cache-key-safe (scripts/engine_salt.sh interpolates it raw).
-        assert_eq!(ENGINE_SALT_HISTORY[0], ENGINE_SALT);
-        assert_eq!(salt_generation(ENGINE_SALT), Some(0));
-        assert_eq!(salt_generation("never-shipped"), None);
-        for (i, s) in ENGINE_SALT_HISTORY.iter().enumerate() {
-            assert!(
-                s.chars().all(|c| c.is_ascii_alphanumeric() || c == '-'),
-                "salt generation {i} is not key-safe: {s:?}"
-            );
-            assert_eq!(salt_generation(s), Some(i));
-        }
-        let mut uniq: Vec<&str> = ENGINE_SALT_HISTORY.to_vec();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), ENGINE_SALT_HISTORY.len(), "duplicate salt");
-    }
-
-    #[test]
-    fn sharded_cache_round_trips_and_compaction_preserves_warm_reload() {
+    fn sharded_cache_round_trips_and_skips_junk_rows() {
         // Cold run populates the shards (rows routed by key), warm run
-        // simulates nothing and reloads bit-exact — and a compaction
-        // pass over a polluted store (stale-salt + torn rows appended to
-        // every shard) must shrink the files while leaving the warm reload
-        // byte-identical. This is the in-`cargo test` half of the CI
-        // compaction gate.
+        // simulates nothing and reloads bit-exact, and a stale-salt row
+        // plus a torn row on every shard are skipped without costing a
+        // cell. An existing `shards.meta` decides the layout.
         let _guard = crate::runner::test_opts_lock();
         set_run_opts(RunOpts::default());
         let dir = std::env::temp_dir().join(format!("ldsim-sharded-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = dir.join("cellcache");
+        let map = ShardMap::open(&cache, 4);
         let cells = vec![
             cell(SchedulerKind::Gmc),
             cell(SchedulerKind::Wg),
@@ -1091,15 +1059,11 @@ mod tests {
         ];
         let cfg = SweepConfig {
             cache_path: Some(&cache),
-            shards: 4,
             ..SweepConfig::default()
         };
         let (store, stats) = run_sweep(&cells, &cfg);
         assert_eq!(stats.simulated, 4);
-        let map = ShardMap::open(&cache, 4);
-        assert_eq!(map.shards(), 4);
-        // Rows landed in the shard their key maps to.
-        let opts = RunOpts::default();
+        // Rows landed in the shard their key maps to, in the 4-shard layout.
         let mut found = 0;
         for (i, p) in map.shard_paths().iter().enumerate() {
             for line in std::fs::read_to_string(p).unwrap_or_default().lines() {
@@ -1110,21 +1074,9 @@ mod tests {
             }
         }
         assert_eq!(found, 4, "one row per simulated cell across the shards");
-        assert!(cells.iter().all(|c| {
-            let k = c.key(opts);
-            map.shard_of(k) < 4
-        }));
 
-        // Warm reload: everything from cache, bit-exact.
-        let (warm, wstats) = run_sweep(&cells, &cfg);
-        assert_eq!(wstats.simulated, 0);
-        assert_eq!(wstats.from_cache, 4);
-        for c in &cells {
-            assert_eq!(warm.get(c), store.get(c));
-        }
-
-        // Pollute every shard with a stale-salt row and a torn row, then
-        // compact: files shrink back, reload still byte-exact.
+        // Pollute every shard with a stale-salt row and a torn row: the
+        // warm reload skips all eight and stays byte-exact.
         for (i, p) in map.shard_paths().iter().enumerate() {
             use std::io::Write;
             let mut f = std::fs::OpenOptions::new()
@@ -1132,31 +1084,74 @@ mod tests {
                 .append(true)
                 .open(p)
                 .unwrap();
-            let key = i as u64; // key i lands in shard i (i % 4 == i)
             writeln!(
                 f,
-                "{{\"cellkey\":\"{key:016x}\",\"engine\":\"ldsim-engine-0000-00-00\",\"x\":1}}"
+                "{{\"cellkey\":\"{i:016x}\",\"engine\":\"ldsim-engine-0000-00-00\",\"x\":1}}"
             )
             .unwrap();
             write!(f, "{{\"cellkey\":\"dead").unwrap();
         }
-        let polluted = map.total_bytes();
-        let cstats = map.compact(ENGINE_SALT_HISTORY);
-        assert_eq!(cstats.rows_kept, 4, "{cstats:?}");
-        assert_eq!(cstats.rows_stale, 4, "{cstats:?}");
-        assert_eq!(cstats.rows_torn, 4, "{cstats:?}");
-        assert!(cstats.bytes_after < polluted);
-        let (compacted, cwstats) = run_sweep(&cells, &cfg);
-        assert_eq!(cwstats.simulated, 0, "compaction must not lose cells");
-        assert_eq!(cwstats.from_cache, 4);
-        assert_eq!(cwstats.skipped_lines, 0, "compaction removed all junk");
+        let (warm, wstats) = run_sweep(&cells, &cfg);
+        assert_eq!(wstats.simulated, 0, "junk rows must not cost a cell");
+        assert_eq!(wstats.from_cache, 4);
+        assert_eq!(wstats.skipped_lines, 8);
         for c in &cells {
             assert_eq!(
-                compacted.get(c).to_json(),
+                warm.get(c).to_json(),
                 store.get(c).to_json(),
-                "warm reload after compaction must be byte-exact"
+                "warm reload must be byte-exact"
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn parse_cache_line_survives_seeded_byte_fuzzing() {
+        // The one parser of on-disk store bytes. Over rows `cache_row`
+        // writes for real Tiny cells: a valid row round-trips byte for
+        // byte, every torn prefix is refused, and random byte flips,
+        // inserts, deletes and truncations never panic.
+        let _guard = crate::runner::test_opts_lock();
+        set_run_opts(RunOpts::default());
+        let opts = RunOpts::default();
+        let cells = vec![
+            cell(SchedulerKind::Gmc),
+            Cell::new("spmv", Scale::Tiny, 3, SchedulerKind::WgW),
+            cell(SchedulerKind::Gmc).with_tweak(CfgTweak::PerfectCoalescing),
+        ];
+        let requested: FnvHashMap<u64, Cell> = cells.iter().map(|&c| (c.key(opts), c)).collect();
+        let (store, _) = run_sweep(&cells, &SweepConfig::default());
+        let mut rng = ldsim_util::StdRng::seed_from_u64(0x5eed_cafe);
+        for c in &cells {
+            let row = cache_row(c, opts, ENGINE_SALT, store.get(c));
+            let line = row.trim_end();
+            let (back, result) = parse_cache_line(line, ENGINE_SALT, &requested, opts)
+                .expect("a valid row must parse");
+            assert_eq!(back, *c);
+            assert_eq!(cache_row(&back, opts, ENGINE_SALT, &result), row);
+            for end in 0..line.len() {
+                assert!(
+                    parse_cache_line(&line[..end], ENGINE_SALT, &requested, opts).is_none(),
+                    "a torn {end}-byte prefix parsed"
+                );
+            }
+            for _ in 0..7_000 {
+                let mut bytes = line.as_bytes().to_vec();
+                for _ in 0..rng.gen_range(1..4usize) {
+                    if bytes.is_empty() {
+                        break;
+                    }
+                    let at = rng.gen_range(0..bytes.len());
+                    match rng.gen_range(0..4u32) {
+                        0 => bytes[at] ^= 1 << rng.gen_range(0..8u32),
+                        1 => bytes.insert(at, rng.next_u64() as u8),
+                        2 => drop(bytes.remove(at)),
+                        _ => bytes.truncate(at),
+                    }
+                }
+                let mutated = String::from_utf8_lossy(&bytes);
+                let _ = parse_cache_line(&mutated, ENGINE_SALT, &requested, opts);
+            }
+        }
     }
 }

@@ -108,12 +108,6 @@ impl TimingParams {
             t_rfc: clk.ns_to_cycles(self.t_rfc_ns),
         }
     }
-
-    /// Nanoseconds of one data burst (tBURST expressed in time): used by the
-    /// MERB derivation, which the paper performs in nanoseconds.
-    pub fn t_burst_ns(&self, clk: ClockDomain) -> f64 {
-        self.t_burst_ck as f64 * clk.tck_ns
-    }
 }
 
 /// Cache geometry.

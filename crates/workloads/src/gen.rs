@@ -17,9 +17,9 @@ use ldsim_util::rng::StdRng;
 pub enum Scale {
     /// 2 SMs x 4 warps — unit/integration tests.
     Tiny = 0,
-    /// 8 SMs x 12 warps — quick experiments.
+    /// 8 SMs x 10 warps — quick experiments.
     Small = 1,
-    /// 30 SMs x 24 warps — the paper-scale configuration.
+    /// 30 SMs x 12 warps — the paper-scale configuration.
     Full = 2,
 }
 
@@ -27,7 +27,7 @@ impl Scale {
     /// Every scale, smallest first.
     pub const ALL: [Scale; 3] = [Scale::Tiny, Scale::Small, Scale::Full];
 
-    /// The command-line and wire name: `tiny`, `small` or `full`.
+    /// The command-line name: `tiny`, `small` or `full`.
     pub fn name(self) -> &'static str {
         match self {
             Scale::Tiny => "tiny",
@@ -529,11 +529,11 @@ mod tests {
     }
 
     #[test]
-    fn scale_names_are_the_wire_grammar() {
+    fn scale_names_are_the_command_line_grammar() {
         for s in Scale::ALL {
             assert_eq!(Scale::parse(s.name()), Some(s));
         }
-        assert_eq!(Scale::parse("Tiny"), None, "the wire is lowercase-only");
+        assert_eq!(Scale::parse("Tiny"), None, "names are lowercase-only");
         assert_eq!(Scale::parse(""), None);
         // The byte each scale contributes to a sweep cell key.
         assert_eq!(Scale::ALL.map(|s| s as u8), [0, 1, 2]);

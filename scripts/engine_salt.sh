@@ -2,8 +2,7 @@
 # Print the engine-version cache salt (ENGINE_SALT) to stdout.
 #
 # The single source of truth is the constant in crates/system/src/sweep.rs;
-# CI keys the cell-cache on it and the service-e2e job cross-checks the
-# running server against it. The extraction pattern below is pinned by the
+# CI keys the cell-cache on it. The extraction pattern below is pinned by the
 # `engine_salt_is_nonempty_and_stable_format` test in
 # crates/bench/tests/repro.rs — if the constant's shape changes, that test
 # and this script must move together.

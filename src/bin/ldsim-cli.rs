@@ -9,31 +9,18 @@
 
 use ldsim::prelude::*;
 use ldsim::system::table::Table;
+use ldsim::util::{cli_fail, cli_parse, cli_pos, cli_value};
 use ldsim::workloads::{IRREGULAR, REGULAR};
 use std::io::Write;
 
-/// Named one-line error + usage + nonzero exit: a typo'd flag must say
-/// which flag went wrong, not just dump the usage text.
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: ldsim-cli [--list] --bench <name> [--scheduler <name>] \
-         [--scale tiny|small|full] [--seed N] [--threads N] [--trace <csv-path>]"
-    );
-    let names: Vec<&str> = SchedulerKind::CLI_NAMES.iter().map(|(_, n)| n[0]).collect();
-    eprintln!("schedulers: {}", names.join(" "));
-    std::process::exit(2)
-}
-
-/// The value following flag `args[i]`, or a named failure.
-fn value<'a>(args: &'a [String], i: usize, flag: &str) -> &'a str {
-    match args.get(i + 1) {
-        Some(v) => v.as_str(),
-        None => fail(&format!("{flag} needs a value but none followed")),
-    }
-}
-
 fn main() {
+    let names: Vec<&str> = SchedulerKind::CLI_NAMES.iter().map(|(_, n)| n[0]).collect();
+    let usage = &format!(
+        "ldsim-cli [--list] --bench <name> [--scheduler <name>] \
+         [--scale tiny|small|full] [--seed N] [--threads N] [--trace <csv-path>]\n\
+         schedulers: {}",
+        names.join(" ")
+    );
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut bench = None;
     let mut sched = SchedulerKind::WgW;
@@ -55,53 +42,58 @@ fn main() {
                 return;
             }
             "--bench" => {
-                bench = Some(value(&args, i, "--bench").to_string());
+                bench = Some(cli_value(&args, i, "--bench", usage).to_string());
                 i += 1;
             }
             "--scheduler" => {
-                let v = value(&args, i, "--scheduler");
-                sched = SchedulerKind::parse(v)
-                    .unwrap_or_else(|| fail(&format!("--scheduler: unknown scheduler '{v}'")));
+                let v = cli_value(&args, i, "--scheduler", usage);
+                sched = SchedulerKind::parse(v).unwrap_or_else(|| {
+                    cli_fail(usage, &format!("--scheduler: unknown scheduler '{v}'"))
+                });
                 i += 1;
             }
             "--scale" => {
-                let v = value(&args, i, "--scale");
-                scale = Scale::parse(v)
-                    .unwrap_or_else(|| fail(&format!("--scale needs tiny|small|full, got '{v}'")));
+                let v = cli_value(&args, i, "--scale", usage);
+                scale = Scale::parse(v).unwrap_or_else(|| {
+                    cli_fail(usage, &format!("--scale needs tiny|small|full, got '{v}'"))
+                });
                 i += 1;
             }
             "--seed" => {
-                let v = value(&args, i, "--seed");
-                seed = v
-                    .trim()
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--seed needs a number, got '{v}'")));
+                let v = cli_value(&args, i, "--seed", usage);
+                seed = cli_parse(v, "--seed", "a number", usage);
                 i += 1;
             }
             "--threads" => {
-                let v = value(&args, i, "--threads");
-                match v.trim().parse::<usize>() {
-                    Ok(n) if n > 0 => ldsim::util::set_sim_threads(Some(n)),
-                    _ => fail(&format!("--threads needs a positive integer, got '{v}'")),
-                }
+                let v = cli_value(&args, i, "--threads", usage);
+                ldsim::util::set_sim_threads(Some(cli_pos(v, "--threads", usage)));
                 i += 1;
             }
             "--trace" => {
-                trace = Some(value(&args, i, "--trace").to_string());
+                trace = Some(cli_value(&args, i, "--trace", usage).to_string());
                 i += 1;
             }
-            other => fail(&format!("unknown argument '{other}'")),
+            other => cli_fail(usage, &format!("unknown argument '{other}'")),
         }
         i += 1;
     }
     let Some(bench) = bench else {
-        fail("--bench is required (use --list to see the benchmark names)")
+        cli_fail(
+            usage,
+            "--bench is required (use --list to see the benchmark names)",
+        )
     };
     if !ldsim::workloads::is_benchmark(&bench) {
-        fail(&format!(
-            "--bench: unknown benchmark '{bench}' (use --list to see the names)"
-        ));
+        cli_fail(
+            usage,
+            &format!("--bench: unknown benchmark '{bench}' (use --list to see the names)"),
+        );
     }
+    // Create the trace file before simulating, so a bad path fails at once.
+    let trace = trace.map(|path| match std::fs::File::create(&path) {
+        Ok(f) => (f, path),
+        Err(e) => cli_fail(usage, &format!("--trace: cannot create '{path}': {e}")),
+    });
 
     let kernel = benchmark(&bench, scale, seed).generate();
     let mut cfg = SimConfig::default().with_scheduler(sched);
@@ -161,8 +153,7 @@ fn main() {
     ]);
     t.print();
 
-    if let Some(path) = trace {
-        let mut f = std::fs::File::create(&path).expect("create trace file");
+    if let Some((mut f, path)) = trace {
         writeln!(
             f,
             "sm,warp,lanes,coalesced,mem_reqs,dram_responses,issue,complete,first_dram,last_dram,channels,banks,same_row"

@@ -18,7 +18,7 @@
 
 use ldsim::prelude::*;
 use ldsim::system::shard::ShardMap;
-use ldsim::system::sweep::{config_fingerprint, run_sweep, Cell, SweepConfig};
+use ldsim::system::sweep::{config_fingerprint, run_sweep, Cell, SweepConfig, DEFAULT_SHARDS};
 use ldsim::util::parallel_map;
 
 /// Same ladder as the conformance/fastforward suites: every scheduler the
@@ -236,7 +236,7 @@ fn warm_cache_reload_ignores_thread_count() {
     let _ = std::fs::remove_dir_all(&dir);
     let cache = dir.join("cellcache");
     let shard_bytes = || -> Vec<Vec<u8>> {
-        ShardMap::open(&cache, SweepConfig::default().shards)
+        ShardMap::open(&cache, DEFAULT_SHARDS)
             .shard_paths()
             .iter()
             .map(|p| std::fs::read(p).unwrap_or_default())
