@@ -26,7 +26,8 @@
 //! with `--hist` is an error too.
 
 use ldsim_bench::figures::{registry, select};
-use ldsim_system::sweep::{run_sweep, SweepConfig, ENGINE_SALT};
+use ldsim_system::shard::ShardMap;
+use ldsim_system::sweep::{run_sweep, SweepConfig, DEFAULT_SHARDS, ENGINE_SALT};
 use ldsim_system::RunOpts;
 use ldsim_util::{cli_fail, cli_parse, cli_pos, cli_value};
 use ldsim_workloads::Scale;
@@ -143,6 +144,14 @@ fn main() {
         salt: ENGINE_SALT,
         max_simulated,
     };
+    if let Some(path) = cfg.cache_path {
+        if let Err(e) = ShardMap::try_open(path, DEFAULT_SHARDS) {
+            cli_fail(
+                USAGE,
+                &format!("{e}; `repro --cold` deletes the cell cache and starts afresh"),
+            );
+        }
+    }
     println!(
         "repro: {} figure(s) at {scale:?}, seed {seed}, {} worker(s) x {} sim thread(s), cache {}",
         specs.len(),

@@ -68,6 +68,27 @@ fn repro_rejects_bad_arguments_with_named_errors() {
 }
 
 #[test]
+fn repro_names_a_corrupt_cell_cache_meta_file() {
+    let bin = env!("CARGO_BIN_EXE_repro");
+    let out = std::env::temp_dir().join(format!("ldsim-badmeta-{}", std::process::id()));
+    let cache = out.join("cellcache");
+    std::fs::create_dir_all(&cache).unwrap();
+    std::fs::write(cache.join("shards.meta"), "shards=zero\n").unwrap();
+    let dir = out.to_str().unwrap();
+    assert_cli_error(
+        bin,
+        &["tiny", "--only", "fig02", "--out", dir],
+        "shards.meta",
+    );
+    let stderr = String::from_utf8_lossy(&run(bin, &["tiny", "--out", dir]).stderr).into_owned();
+    assert!(
+        stderr.contains("--cold"),
+        "the error must suggest --cold: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
 fn shared_harness_rejects_bad_arguments_with_named_errors() {
     let bin = env!("CARGO_BIN_EXE_perfreport");
     assert_cli_error(bin, &["--seed"], "--seed");

@@ -87,7 +87,7 @@ impl WgFlags {
 
 /// One live warp-group: its waiting requests plus the per-group state the
 /// pick paths read, so that walking the store touches no other map.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct GroupEntry {
     wg: WarpGroupId,
     reqs: Vec<MemRequest>,
@@ -114,7 +114,19 @@ struct RowTally {
     by_seq: BTreeMap<u64, u32>,
 }
 
+/// What a pick that found nothing did, for [`Policy::pick_settled`] to
+/// replay (DESIGN.md §13).
+#[derive(Debug, Clone, Copy)]
+struct Settled {
+    /// The pick's `coord_cap_applied` increment, its only side effect.
+    caps: u64,
+    /// First cycle at which the oldest group crosses the age threshold, and
+    /// the pick takes another path; `Cycle::MAX` if it had crossed already.
+    until: Cycle,
+}
+
 /// The warp-aware transaction scheduler.
+#[derive(Clone)]
 pub struct WarpGroupPolicy {
     flags: WgFlags,
     name: &'static str,
@@ -169,6 +181,9 @@ pub struct WarpGroupPolicy {
     shared: FnvHashSet<WarpGroupId>,
     /// Stats: selections where sharing broke the tie.
     pub shared_promotions: u64,
+    /// Memo of the last pick, armed when it returned `None` and changed
+    /// nothing but `coord_cap_applied`.
+    settled: Option<Settled>,
 }
 
 /// Bank-Table score of a group, capped by its remote score (WG-M). The
@@ -263,6 +278,7 @@ impl WarpGroupPolicy {
             unit_by_seq: BTreeSet::new(),
             row_tally: vec![FnvHashMap::default(); num_banks],
             reference_picks: false,
+            settled: None,
         }
     }
 
@@ -682,66 +698,9 @@ impl WarpGroupPolicy {
         self.wgw_priority_grants += 1;
         Some(self.take_req(seq, 0))
     }
-}
 
-impl Policy for WarpGroupPolicy {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn on_arrival(&mut self, req: MemRequest, now: Cycle) {
-        let bank = req.decoded.bank.0 as usize;
-        let row = req.decoded.row;
-        self.bank_count[bank] += 1;
-        self.total += 1;
-        let seq = *self.seq_of.entry(req.wg).or_insert_with(|| {
-            let cap = self.remote_cap.remove(&req.wg);
-            self.live_caps += cap.is_some() as usize;
-            self.groups.insert(
-                self.seq,
-                GroupEntry {
-                    wg: req.wg,
-                    reqs: Vec::with_capacity(4),
-                    first_arrival: now,
-                    cap,
-                    complete: false,
-                },
-            );
-            self.seq
-        });
-        let entry = self.groups.get_mut(&seq).expect("group exists");
-        // The sticky completeness bit relies on every request of a group
-        // at one channel carrying the same group size (set once per load
-        // in `Sm`), so the tracker's expected count never grows.
-        debug_assert!(
-            entry
-                .reqs
-                .first()
-                .is_none_or(|r| r.group_size_on_channel == req.group_size_on_channel),
-            "requests of {:?} disagree on the group size at this channel",
-            req.wg
-        );
-        entry.reqs.push(req);
-        match entry.reqs.len() {
-            1 => {
-                self.unit_by_seq.insert(seq);
-            }
-            2 => {
-                self.unit_by_seq.remove(&seq);
-            }
-            _ => {}
-        }
-        let t = self.row_tally[bank].entry(row).or_default();
-        t.count += 1;
-        *t.by_seq.entry(seq).or_insert(0) += 1;
-        self.seq += 1;
-    }
-
-    fn pending(&self) -> usize {
-        self.total
-    }
-
-    fn pick(&mut self, view: &PolicyView<'_>) -> Option<MemRequest> {
+    /// The pick itself; [`Policy::pick`] wraps it to arm the settled memo.
+    fn pick_full(&mut self, view: &PolicyView<'_>) -> Option<MemRequest> {
         if self.total == 0 {
             return None;
         }
@@ -814,6 +773,142 @@ impl Policy for WarpGroupPolicy {
             self.pick_bypass_reference(view)
         } else {
             self.pick_bypass(view, room)
+        }
+    }
+
+    /// Everything a pick that finds nothing may change besides
+    /// `coord_cap_applied` (`shared_promotions` moves only with
+    /// `groups_selected`).
+    fn stuck_state(&self) -> (Option<u64>, [u64; 3], usize) {
+        (
+            self.active,
+            [
+                self.groups_selected,
+                self.merb_substitutions,
+                self.wgw_priority_grants,
+            ],
+            self.coord_out.len(),
+        )
+    }
+
+    /// First cycle at which the oldest group is past the age threshold
+    /// (only the oldest can cross first); `Cycle::MAX` if it is already
+    /// past it at `now`, or there is no group.
+    fn aging_deadline(&self, now: Cycle) -> Cycle {
+        self.groups.first_key_value().map_or(Cycle::MAX, |(_, e)| {
+            let t = e
+                .first_arrival
+                .saturating_add(self.age_threshold)
+                .saturating_add(1);
+            if now >= t {
+                Cycle::MAX
+            } else {
+                t
+            }
+        })
+    }
+
+    /// Debug self-check of a settled pick: a full pick on a clone finds
+    /// nothing, leaves `active` and the other counters alone and adds the
+    /// memoised cap count.
+    #[cfg(debug_assertions)]
+    fn check_settled(&self, view: &PolicyView<'_>, caps: u64) {
+        let mut twin = self.clone();
+        let picked = twin.pick_full(view);
+        let mut want = Policy::counters(self);
+        want[3] += caps;
+        assert!(
+            picked.is_none() && twin.active == self.active && Policy::counters(&twin) == want,
+            "settled pick at {} diverges from a full pick: picked {:?}, counters {:?} vs {want:?}",
+            view.now,
+            picked.map(|r| r.id),
+            Policy::counters(&twin)
+        );
+    }
+}
+
+impl Policy for WarpGroupPolicy {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn on_arrival(&mut self, req: MemRequest, now: Cycle) {
+        let bank = req.decoded.bank.0 as usize;
+        let row = req.decoded.row;
+        self.bank_count[bank] += 1;
+        self.total += 1;
+        let seq = *self.seq_of.entry(req.wg).or_insert_with(|| {
+            let cap = self.remote_cap.remove(&req.wg);
+            self.live_caps += cap.is_some() as usize;
+            self.groups.insert(
+                self.seq,
+                GroupEntry {
+                    wg: req.wg,
+                    reqs: Vec::with_capacity(4),
+                    first_arrival: now,
+                    cap,
+                    complete: false,
+                },
+            );
+            self.seq
+        });
+        let entry = self.groups.get_mut(&seq).expect("group exists");
+        // The sticky completeness bit relies on every request of a group
+        // at one channel carrying the same group size (set once per load
+        // in `Sm`), so the tracker's expected count never grows.
+        debug_assert!(
+            entry
+                .reqs
+                .first()
+                .is_none_or(|r| r.group_size_on_channel == req.group_size_on_channel),
+            "requests of {:?} disagree on the group size at this channel",
+            req.wg
+        );
+        entry.reqs.push(req);
+        match entry.reqs.len() {
+            1 => {
+                self.unit_by_seq.insert(seq);
+            }
+            2 => {
+                self.unit_by_seq.remove(&seq);
+            }
+            _ => {}
+        }
+        let t = self.row_tally[bank].entry(row).or_default();
+        t.count += 1;
+        *t.by_seq.entry(seq).or_insert(0) += 1;
+        self.seq += 1;
+    }
+
+    fn pending(&self) -> usize {
+        self.total
+    }
+
+    fn pick(&mut self, view: &PolicyView<'_>) -> Option<MemRequest> {
+        let before = self.stuck_state();
+        let caps = self.coord_cap_applied;
+        let picked = self.pick_full(view);
+        self.settled = (picked.is_none() && !self.reference_picks && self.stuck_state() == before)
+            .then(|| Settled {
+                caps: self.coord_cap_applied - caps,
+                until: self.aging_deadline(view.now),
+            });
+        picked
+    }
+
+    /// The stuck path is idempotent apart from its cap count: with the
+    /// store, the bank table and the tracker unchanged, a pick that found
+    /// nothing and moved nothing but `coord_cap_applied` does the same
+    /// again, until the oldest group ages into the starvation guard.
+    fn pick_settled(&mut self, view: &PolicyView<'_>) -> Option<MemRequest> {
+        match self.settled {
+            Some(s) if view.now < s.until => {
+                #[cfg(debug_assertions)]
+                self.check_settled(view, s.caps);
+                self.coord_cap_applied += s.caps;
+                None
+            }
+            _ => self.pick(view),
         }
     }
 
@@ -1487,24 +1582,7 @@ mod tests {
                         }
                         // Picks under a randomly perturbed bank view.
                         40..=64 => {
-                            for b in 0..16 {
-                                let s = &mut f.banks[b];
-                                s.headroom = if rng.gen_bool(0.2) {
-                                    rng.gen_range(0usize..3)
-                                } else {
-                                    rng.gen_range(3usize..=8)
-                                };
-                                s.queue_score = rng.gen_range(0u32..30);
-                                s.queue_len = 8 - s.headroom;
-                                s.busy = s.queue_len > 0;
-                                s.last_scheduled_row = if rng.gen_bool(0.6) {
-                                    Some(rng.gen_range(0u32..4))
-                                } else {
-                                    None
-                                };
-                                s.hits_since_row_open = rng.gen_range(0u8..32);
-                            }
-                            f.write_q_len = rng.gen_range(0usize..32);
+                            perturb_banks(&mut f, &mut rng);
                             let mut v = f.view();
                             v.now = now;
                             picks += 1;
@@ -1519,31 +1597,10 @@ mod tests {
                             same(&idx, &rf, step);
                         }
                         // Saturation, the state most WG-W picks at Full
-                        // scale see: no pending request has command-queue
-                        // room (a bank is full, or has room only for a hit
-                        // on a row no request targets — requests use rows
-                        // 0..4), sometimes with one bank reopened so the
-                        // bypass walks mostly unschedulable candidates. A
-                        // few caps arrive, then several picks run under the
-                        // same view.
+                        // scale see. A few caps arrive, then several picks
+                        // run under the same view.
                         65..=79 => {
-                            for s in f.banks.iter_mut() {
-                                if rng.gen_bool(0.5) {
-                                    s.headroom = 0;
-                                } else {
-                                    s.headroom = rng.gen_range(1usize..3);
-                                    s.last_scheduled_row = Some(rng.gen_range(4u32..8));
-                                }
-                                s.queue_score = rng.gen_range(0u32..30);
-                                s.queue_len = 8 - s.headroom;
-                                s.busy = true;
-                                s.hits_since_row_open = rng.gen_range(0u8..32);
-                            }
-                            if rng.gen_bool(0.3) {
-                                let s = &mut f.banks[rng.gen_range(0usize..16)];
-                                s.headroom = 8;
-                                s.queue_len = 0;
-                            }
+                            saturate_banks(&mut f, &mut rng);
                             for _ in 0..rng.gen_range(0usize..4) {
                                 if let Some(&g) = live.get(rng.gen_range(0usize..live.len().max(1)))
                                 {
@@ -1634,6 +1691,248 @@ mod tests {
         assert!(
             stuck * 4 >= picks,
             "only {stuck} of {picks} picks found nothing schedulable"
+        );
+    }
+
+    /// Perturb every bank of the view at random: mostly room for a miss,
+    /// sometimes room for a hit at most, rows 0..4 open or none.
+    fn perturb_banks(f: &mut Fix, rng: &mut ldsim_util::StdRng) {
+        for s in f.banks.iter_mut() {
+            s.headroom = if rng.gen_bool(0.2) {
+                rng.gen_range(0usize..3)
+            } else {
+                rng.gen_range(3usize..=8)
+            };
+            s.queue_score = rng.gen_range(0u32..30);
+            s.queue_len = 8 - s.headroom;
+            s.busy = s.queue_len > 0;
+            s.last_scheduled_row = if rng.gen_bool(0.6) {
+                Some(rng.gen_range(0u32..4))
+            } else {
+                None
+            };
+            s.hits_since_row_open = rng.gen_range(0u8..32);
+        }
+        f.write_q_len = rng.gen_range(0usize..32);
+    }
+
+    /// Saturate the view: no pending request has command-queue room (a
+    /// bank is full, or has room only for a hit on a row no request
+    /// targets — requests use rows 0..4), sometimes with one bank reopened
+    /// so the bypass walks mostly unschedulable candidates.
+    fn saturate_banks(f: &mut Fix, rng: &mut ldsim_util::StdRng) {
+        for s in f.banks.iter_mut() {
+            if rng.gen_bool(0.5) {
+                s.headroom = 0;
+            } else {
+                s.headroom = rng.gen_range(1usize..3);
+                s.last_scheduled_row = Some(rng.gen_range(4u32..8));
+            }
+            s.queue_score = rng.gen_range(0u32..30);
+            s.queue_len = 8 - s.headroom;
+            s.busy = true;
+            s.hits_since_row_open = rng.gen_range(0u8..32);
+        }
+        if rng.gen_bool(0.3) {
+            let s = &mut f.banks[rng.gen_range(0usize..16)];
+            s.headroom = 8;
+            s.queue_len = 0;
+        }
+    }
+
+    /// Drive a policy that always calls `pick` and a twin that calls
+    /// `pick_settled` whenever nothing but `now` has changed since its last
+    /// `None` (the controller's rule) through one seeded operation stream,
+    /// comparing the picks, all four counters, the pending count and the
+    /// policy state `state` reads after every operation. Returns the number
+    /// of settled picks and how many of them came at or past the memo's
+    /// aging deadline (as `expired` reads it off the twin).
+    fn settled_twins<P: Policy>(
+        mk: &dyn Fn() -> P,
+        state: &dyn Fn(&P) -> Option<u64>,
+        expired: &dyn Fn(&P, Cycle) -> bool,
+        seed: u64,
+    ) -> (usize, usize) {
+        use ldsim_util::StdRng;
+        let mut rng = StdRng::seed_from_u64(0x5E771ED ^ seed);
+        let (mut full, mut twin) = (mk(), mk());
+        let mut f = Fix::new();
+        let mut now: Cycle = 0;
+        let mut live: Vec<WarpGroupId> = Vec::new();
+        // Groups with members still on their way: (group, size, missing).
+        let mut partial: Vec<(WarpGroupId, u16, u16)> = Vec::new();
+        let mut serial = 0u32;
+        // The twin's last pick found nothing and only `now` has moved since.
+        let mut quiet = false;
+        let (mut settled, mut past_deadline) = (0usize, 0usize);
+        let pick_any = |live: &[WarpGroupId], rng: &mut StdRng| {
+            live.get(rng.gen_range(0usize..live.len().max(1))).copied()
+        };
+        for step in 0..1500 {
+            let picks = match rng.gen_range(0u32..100) {
+                // Arrivals: a fresh group, possibly left incomplete.
+                0..=19 => {
+                    serial += 1;
+                    let g = wg(0, (serial % 7) as u16, serial);
+                    let size = rng.gen_range(1u16..=4);
+                    let arrive = rng.gen_range(1u16..=size);
+                    for _ in 0..arrive {
+                        let (bank, row) = (rng.gen_range(0u8..16), rng.gen_range(0u32..4));
+                        let mut r = f.req(bank, row, g, size);
+                        r.arrival_cycle = now;
+                        f.groups.on_arrival(&r);
+                        full.on_arrival(r, now);
+                        twin.on_arrival(r, now);
+                    }
+                    if arrive < size {
+                        partial.push((g, size, size - arrive));
+                    }
+                    live.push(g);
+                    quiet = false;
+                    0
+                }
+                // A missing member is absorbed upstream: only the tracker
+                // changes.
+                20..=27 => {
+                    if !partial.is_empty() {
+                        let i = rng.gen_range(0usize..partial.len());
+                        let (g, size, missing) = &mut partial[i];
+                        f.groups.on_absorbed(*g, *size);
+                        *missing -= 1;
+                        if *missing == 0 {
+                            partial.swap_remove(i);
+                        }
+                        quiet = false;
+                    }
+                    0
+                }
+                28..=37 => {
+                    perturb_banks(&mut f, &mut rng);
+                    quiet = false;
+                    1
+                }
+                38..=49 => {
+                    saturate_banks(&mut f, &mut rng);
+                    f.write_q_len = rng.gen_range(0usize..32);
+                    quiet = false;
+                    rng.gen_range(1usize..8)
+                }
+                // WG-M caps from a phantom remote controller.
+                50..=57 => {
+                    if let Some(g) = pick_any(&live, &mut rng) {
+                        let m = CoordMsg {
+                            wg: g,
+                            score: rng.gen_range(0u32..12),
+                        };
+                        full.on_coord(m, now);
+                        twin.on_coord(m, now);
+                        quiet = false;
+                    }
+                    0
+                }
+                58..=59 => {
+                    if let Some(g) = pick_any(&live, &mut rng) {
+                        full.on_shared(g);
+                        twin.on_shared(g);
+                        quiet = false;
+                    }
+                    0
+                }
+                60..=61 => {
+                    if let Some(g) = pick_any(&live, &mut rng) {
+                        let a: Vec<_> = full.remove_group(g).iter().map(|r| r.id).collect();
+                        let b: Vec<_> = twin.remove_group(g).iter().map(|r| r.id).collect();
+                        assert_eq!(a, b, "remove_group diverged: seed={seed} step={step}");
+                        quiet = false;
+                    }
+                    0
+                }
+                // Only time moves, then the same view is picked again:
+                // mostly within the age threshold, sometimes across it.
+                62..=84 => {
+                    now += rng.gen_range(1u64..60);
+                    1
+                }
+                _ => {
+                    now += rng.gen_range(60u64..400);
+                    1
+                }
+            };
+            // Repeated picks under one view stand for a stalled stretch:
+            // time moves between them.
+            for k in 0..picks {
+                if k > 0 {
+                    now += rng.gen_range(0u64..150);
+                }
+                let mut v = f.view();
+                v.now = now;
+                let a = full.pick(&v);
+                let b = if quiet {
+                    settled += 1;
+                    past_deadline += expired(&twin, now) as usize;
+                    twin.pick_settled(&v)
+                } else {
+                    twin.pick(&v)
+                };
+                assert_eq!(
+                    a.as_ref().map(|r| r.id),
+                    b.as_ref().map(|r| r.id),
+                    "{} pick diverged: seed={seed} step={step}",
+                    full.name()
+                );
+                quiet = b.is_none();
+            }
+            assert_eq!(
+                (full.counters(), full.pending(), state(&full)),
+                (twin.counters(), twin.pending(), state(&twin)),
+                "{} diverged: seed={seed} step={step}",
+                full.name()
+            );
+        }
+        (settled, past_deadline)
+    }
+
+    /// Seeded-loop property test of the settled-pick memos: GMC and every
+    /// WG flavour run as a full-pick instance and a settled twin
+    /// ([`settled_twins`]) under arrivals, upstream absorption, perturbed
+    /// and saturated bank views, live WG-M caps, sharing, group removal and
+    /// time steps that cross the age threshold. WG twins must also agree on
+    /// the active group.
+    #[test]
+    fn settled_picks_match_full_picks_under_random_ops() {
+        let (mut settled, mut past_deadline) = (0usize, 0usize);
+        for seed in 0u64..4 {
+            let (s, _) = settled_twins(
+                &|| ldsim_memctrl::policies::Gmc::new(16, 2000),
+                &|_| None,
+                &|_, _| false,
+                seed,
+            );
+            assert!(s > 0, "GMC never settled (seed {seed})");
+            settled += s;
+            for kind in [
+                SchedulerKind::Wg,
+                SchedulerKind::WgM,
+                SchedulerKind::WgBw,
+                SchedulerKind::WgW,
+                SchedulerKind::WgShared,
+            ] {
+                let (flags, name) = WgFlags::for_kind(kind).expect("WG flavour");
+                let (s, p) = settled_twins(
+                    &|| WarpGroupPolicy::with_age_threshold(flags, name, 16, 2000),
+                    &|p| p.active,
+                    &|p, now| p.settled.is_some_and(|m| now >= m.until),
+                    seed,
+                );
+                assert!(s > 0, "{name} never settled (seed {seed})");
+                settled += s;
+                past_deadline += p;
+            }
+        }
+        eprintln!("settled picks {settled}, past the aging deadline {past_deadline}");
+        assert!(
+            past_deadline > 0,
+            "no settled pick crossed the age threshold ({settled} settled picks)"
         );
     }
 

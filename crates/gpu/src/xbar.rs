@@ -78,21 +78,28 @@ impl<T> Crossbar<T> {
         let ns = self.src_q.len();
         // One grant per destination per cycle.
         self.granted.fill(false);
-        let start = self.rr;
-        for off in 0..ns {
-            let s = (start + off) % ns;
-            let Some(&(dst, _)) = self.src_q[s].front() else {
+        let mut s = self.rr;
+        for _ in 0..ns {
+            let src = s;
+            s += 1;
+            if s == ns {
+                s = 0;
+            }
+            let Some(&(dst, _)) = self.src_q[src].front() else {
                 continue;
             };
             if self.granted[dst] {
                 continue;
             }
             self.granted[dst] = true;
-            let (dst, t) = self.src_q[s].pop_front().unwrap();
+            let (dst, t) = self.src_q[src].pop_front().unwrap();
             self.flight.push_back((now + self.latency, dst, t));
             self.accepted += 1;
         }
-        self.rr = (self.rr + 1) % ns;
+        self.rr += 1;
+        if self.rr == ns {
+            self.rr = 0;
+        }
         // Deliver due payloads; rejected destinations retry next cycle.
         debug_assert!(self.kept.is_empty());
         self.blocked.fill(false);

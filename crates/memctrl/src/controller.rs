@@ -112,9 +112,10 @@ pub struct Controller {
     /// Live (non-tombstone) entries in `write_q`.
     write_q_live: usize,
     cmd_q: Vec<VecDeque<CmdEntry>>,
-    last_sched_row: Vec<Option<u32>>,
-    sched_hits_since_row: Vec<u8>,
-    queue_score: Vec<u32>,
+    /// The Bank Table: each bank's row, queue score and command-queue
+    /// occupancy as the policy sees them, written in place wherever a
+    /// bank's queue or row changes (enqueue, issue, the refresh PRE).
+    banks: Vec<BankSnapshot>,
 
     draining: bool,
     zero_div: bool,
@@ -142,7 +143,6 @@ pub struct Controller {
     bank_rotate: usize,
     /// Bank scan order interleaving bank groups (g0b0, g1b0, g2b0, ...).
     bank_order: Vec<usize>,
-    snapshot: Vec<BankSnapshot>,
     /// Per-bank command-queue depth sampled at every transaction enqueue
     /// (None = zero cost). Observation-only.
     depth_hist: Option<Box<Histogram>>,
@@ -160,6 +160,19 @@ pub struct Controller {
     /// (the counter starts at 1), which is how queue-front changes are
     /// invalidated individually.
     chan_epoch: u64,
+    /// Issue floor: no bank-front command can issue before this cycle. Set
+    /// by a bank scan that issued nothing (the earliest ready cycle it
+    /// checked) and voided (0) by every channel mutation and every
+    /// enqueue, the only events that move a front's ready cycle
+    /// (DESIGN.md §13).
+    issue_floor: Cycle,
+    /// Change counter of everything a pick can see except `now`: the bank
+    /// table, the group tracker, the write-queue occupancy and every call
+    /// into the policy other than picks, `emit_coord` and queries.
+    view_gen: u64,
+    /// `view_gen` when the last pick returned `None`: while the two are
+    /// equal, the next pick goes to [`Policy::pick_settled`].
+    settled_gen: u64,
 }
 
 impl Controller {
@@ -197,9 +210,13 @@ impl Controller {
             write_q: VecDeque::new(),
             write_q_live: 0,
             cmd_q: (0..nb).map(|_| VecDeque::new()).collect(),
-            last_sched_row: vec![None; nb],
-            sched_hits_since_row: vec![0; nb],
-            queue_score: vec![0; nb],
+            banks: vec![
+                BankSnapshot {
+                    headroom: CMD_Q_CAP,
+                    ..BankSnapshot::default()
+                };
+                nb
+            ],
             draining: false,
             zero_div,
             bursts_per_access: mem.bursts_per_access.max(1) as u8,
@@ -217,20 +234,41 @@ impl Controller {
             stats: CtrlStats::default(),
             bank_rotate: 0,
             bank_order,
-            snapshot: vec![BankSnapshot::default(); nb],
             depth_hist: None,
             merb_occ_hist: None,
             ready_cache: vec![0; nb],
             ready_epoch: vec![0; nb],
             chan_epoch: 1,
+            issue_floor: 0,
+            view_gen: 0,
+            settled_gen: u64::MAX,
         }
     }
 
     /// The channel's timing state changed: every cached front-command
-    /// ready-cycle is stale.
+    /// ready-cycle, and the issue floor derived from them, is stale.
     #[inline]
     fn touch_channel(&mut self) {
         self.chan_epoch += 1;
+        self.issue_floor = 0;
+    }
+
+    /// Something a pick can see changed: the next pick is a full one.
+    #[inline]
+    fn touch_view(&mut self) {
+        self.view_gen += 1;
+    }
+
+    /// Re-derive bank `b`'s command-queue occupancy in the Bank Table after
+    /// its queue grew or shrank.
+    #[inline]
+    fn sync_queue(&mut self, b: usize) {
+        let len = self.cmd_q[b].len();
+        let s = &mut self.banks[b];
+        s.queue_len = len;
+        s.headroom = CMD_Q_CAP - len;
+        s.busy = len > 0;
+        self.touch_view();
     }
 
     /// Requests waiting anywhere in the controller.
@@ -343,17 +381,20 @@ impl Controller {
     /// merge): it will never arrive here.
     pub fn note_absorbed(&mut self, wg: WarpGroupId, group_size_on_channel: u16) {
         self.groups.on_absorbed(wg, group_size_on_channel);
+        self.touch_view();
     }
 
     /// Deliver a WG-M coordination message from another controller.
     pub fn deliver_coord(&mut self, msg: CoordMsg, now: Cycle) {
         self.policy.on_coord(msg, now);
+        self.touch_view();
     }
 
     /// Another warp merged onto one of `wg`'s in-flight lines upstream:
     /// finishing this group now unblocks several warps (Section VIII).
     pub fn note_shared(&mut self, wg: WarpGroupId) {
         self.policy.on_shared(wg);
+        self.touch_view();
     }
 
     /// Drain coordination messages emitted by the local policy.
@@ -374,6 +415,7 @@ impl Controller {
             return;
         }
         let mut moved = self.policy.remove_group(wg);
+        self.touch_view();
         // Also pull matching reads still sitting in the entry buffer.
         let mut rest = VecDeque::with_capacity(self.entry_q.len());
         while let Some(r) = self.entry_q.pop_front() {
@@ -427,8 +469,9 @@ impl Controller {
                 if self.channel.can_pre(bank, now) {
                     self.channel.issue_pre(bank, now);
                     self.touch_channel();
-                    self.last_sched_row[b] = None;
-                    self.sched_hits_since_row[b] = 0;
+                    self.banks[b].last_scheduled_row = None;
+                    self.banks[b].hits_since_row_open = 0;
+                    self.touch_view();
                 }
                 return false;
             }
@@ -451,6 +494,7 @@ impl Controller {
             let Reverse(c) = self.completions.pop().unwrap();
             if c.resp.kind == ReqKind::Read {
                 self.groups.on_served(c.resp.wg);
+                self.touch_view();
                 self.outbox.push(c.resp);
             }
         }
@@ -464,6 +508,7 @@ impl Controller {
                     r.arrival_cycle = now;
                     if self.zero_div && self.fast_groups.contains(&r.wg) {
                         self.groups.on_arrival(&r);
+                        self.touch_view();
                         self.fast_q.push_back(r);
                         continue;
                     }
@@ -473,6 +518,7 @@ impl Controller {
                     }
                     self.groups.on_arrival(&r);
                     self.policy.on_arrival(r, now);
+                    self.touch_view();
                 }
                 ReqKind::Write => {
                     if self.policy.wants_writes() {
@@ -482,6 +528,7 @@ impl Controller {
                         let mut r = self.entry_q.pop_front().unwrap();
                         r.arrival_cycle = now;
                         self.policy.on_arrival(r, now);
+                        self.touch_view();
                     } else {
                         if self.write_q_live >= self.write_q_cap {
                             break;
@@ -490,6 +537,7 @@ impl Controller {
                         r.arrival_cycle = now;
                         self.write_q.push_back(Some(r));
                         self.write_q_live += 1;
+                        self.touch_view();
                     }
                 }
             }
@@ -538,24 +586,30 @@ impl Controller {
         if self.policy.pending() == 0 {
             return;
         }
-        self.refresh_snapshot();
         let view = PolicyView {
             now,
-            banks: &self.snapshot,
+            banks: &self.banks,
             groups: &self.groups,
             write_q_len: self.write_q_live,
             write_hi: self.write_hi,
             wgw_margin: self.wgw_margin,
             merb: &self.merb,
         };
-        if let Some(req) = self.policy.pick(&view) {
-            if let Some(h) = self.merb_occ_hist.as_deref_mut() {
-                // Banks with queued work — the occupancy the MERB gate
-                // reasons about (cf. WG-Bw's banks_with_work predicate).
-                h.add(self.snapshot.iter().filter(|s| s.busy).count() as u64);
-            }
-            self.enqueue_transaction(req);
+        let picked = if self.settled_gen == self.view_gen {
+            self.policy.pick_settled(&view)
+        } else {
+            self.policy.pick(&view)
+        };
+        let Some(req) = picked else {
+            self.settled_gen = self.view_gen;
+            return;
+        };
+        if let Some(h) = self.merb_occ_hist.as_deref_mut() {
+            // Banks with queued work — the occupancy the MERB gate
+            // reasons about (cf. WG-Bw's banks_with_work predicate).
+            h.add(self.banks.iter().filter(|s| s.busy).count() as u64);
         }
+        self.enqueue_transaction(req);
     }
 
     fn schedule_write_transaction(&mut self) {
@@ -564,10 +618,10 @@ impl Controller {
         let mut choice: Option<usize> = None;
         for (i, w) in self.write_q.iter().enumerate() {
             let Some(w) = w else { continue };
-            let b = w.decoded.bank.0 as usize;
-            let hit = self.last_sched_row[b] == Some(w.decoded.row);
+            let s = &self.banks[w.decoded.bank.0 as usize];
+            let hit = s.last_scheduled_row == Some(w.decoded.row);
             let need = if hit { 1 } else { 3 };
-            if CMD_Q_CAP - self.cmd_q[b].len() < need {
+            if s.headroom < need {
                 continue;
             }
             if hit {
@@ -581,6 +635,7 @@ impl Controller {
         if let Some(i) = choice {
             let req = self.write_q[i].take().unwrap();
             self.write_q_live -= 1;
+            self.touch_view();
             while matches!(self.write_q.front(), Some(None)) {
                 self.write_q.pop_front();
             }
@@ -599,21 +654,20 @@ impl Controller {
         let b = req.decoded.bank.0 as usize;
         // If the bank's queue was empty, the pushes below install a new
         // front command; drop its cached ready-cycle (0 never matches
-        // `chan_epoch`, which starts at 1).
+        // `chan_epoch`, which starts at 1) and the issue floor.
         self.ready_epoch[b] = 0;
+        self.issue_floor = 0;
         if let Some(h) = self.depth_hist.as_deref_mut() {
             h.add(self.cmd_q[b].len() as u64);
         }
-        let hit = self.last_sched_row[b] == Some(req.decoded.row);
+        let s = &mut self.banks[b];
+        let hit = s.last_scheduled_row == Some(req.decoded.row);
         let need = if hit { 1 } else { 3 };
-        debug_assert!(
-            CMD_Q_CAP - self.cmd_q[b].len() >= need,
-            "policy violated command-queue headroom"
-        );
+        debug_assert!(s.headroom >= need, "policy violated command-queue headroom");
         let bank = req.decoded.bank;
         let score = if hit { SCORE_HIT } else { SCORE_MISS };
         if !hit {
-            if self.last_sched_row[b].is_some() {
+            if s.last_scheduled_row.is_some() {
                 self.cmd_q[b].push_back(CmdEntry {
                     cmd: Command::Pre { bank },
                     score: 0,
@@ -628,13 +682,15 @@ impl Controller {
                 score: 0,
                 req: None,
             });
-            self.last_sched_row[b] = Some(req.decoded.row);
-            self.sched_hits_since_row[b] = 0;
+            s.last_scheduled_row = Some(req.decoded.row);
+            s.hits_since_row_open = 0;
         } else {
-            self.sched_hits_since_row[b] = self.sched_hits_since_row[b]
+            s.hits_since_row_open = s
+                .hits_since_row_open
                 .saturating_add(self.bursts_per_access)
                 .min(31);
         }
+        s.queue_score += score;
         let cmd = match req.kind {
             ReqKind::Read => {
                 self.read_cmds_pending += 1;
@@ -648,7 +704,6 @@ impl Controller {
                 req: req.id.0,
             },
         };
-        self.queue_score[b] += score;
         self.cmd_q[b].push_back(CmdEntry {
             cmd,
             score,
@@ -661,22 +716,10 @@ impl Controller {
                 score: 0,
                 req: None,
             });
-            self.last_sched_row[b] = None;
-            self.sched_hits_since_row[b] = 0;
+            self.banks[b].last_scheduled_row = None;
+            self.banks[b].hits_since_row_open = 0;
         }
-    }
-
-    fn refresh_snapshot(&mut self) {
-        for b in 0..self.num_banks {
-            self.snapshot[b] = BankSnapshot {
-                last_scheduled_row: self.last_sched_row[b],
-                queue_score: self.queue_score[b],
-                queue_len: self.cmd_q[b].len(),
-                headroom: CMD_Q_CAP - self.cmd_q[b].len(),
-                hits_since_row_open: self.sched_hits_since_row[b],
-                busy: !self.cmd_q[b].is_empty(),
-            };
-        }
+        self.sync_queue(b);
     }
 
     fn issue_command(&mut self, now: Cycle) {
@@ -690,15 +733,34 @@ impl Controller {
                 return;
             }
         }
+        // The issue floor: a scan that issued nothing changed nothing, and
+        // until the channel or a queue changes, no front becomes legal
+        // before the earliest ready cycle that scan saw.
+        if now < self.issue_floor {
+            debug_assert!(
+                self.cmd_q.iter().all(|q| q
+                    .front()
+                    .is_none_or(|e| !self.channel.can_issue(&e.cmd, now))),
+                "issue floor {} skipped a legal command at {now}",
+                self.issue_floor
+            );
+            return;
+        }
         // Regular path: scan banks group-interleaved, rotating start. Two
         // passes when not draining: writes at a bank head would otherwise
         // starve reads through the tWTR turnaround (a write is always
         // bus-legal, a read after write-data is not), so read-mode issues a
         // write column command only when no other command can go.
         let n = self.num_banks;
+        let mut floor = Cycle::MAX;
         for pass in 0..2 {
-            for i in 0..n {
-                let b = self.bank_order[(i + self.bank_rotate) % n];
+            let mut j = self.bank_rotate;
+            for _ in 0..n {
+                let b = self.bank_order[j];
+                j += 1;
+                if j == n {
+                    j = 0;
+                }
                 let Some(entry) = self.cmd_q[b].front() else {
                     continue;
                 };
@@ -723,6 +785,7 @@ impl Controller {
                 };
                 if now < ready || ready == Cycle::MAX {
                     debug_assert!(!self.channel.can_issue(&entry.cmd, now));
+                    floor = floor.min(ready);
                     continue;
                 }
                 debug_assert!(self.channel.can_issue(&entry.cmd, now));
@@ -732,14 +795,16 @@ impl Controller {
                 if matches!(entry.cmd, Command::Read { .. }) {
                     self.read_cmds_pending -= 1;
                 }
+                self.banks[b].queue_score -= entry.score;
+                self.sync_queue(b);
                 if let Some(req) = entry.req {
-                    self.queue_score[b] -= entry.score;
                     self.finish_request(&req, done.expect("column command returns data end"));
                 }
-                self.bank_rotate = (self.bank_rotate + i + 1) % n;
+                self.bank_rotate = j;
                 return;
             }
         }
+        self.issue_floor = floor;
     }
 
     /// Book a completed (or scheduled-to-complete) request.

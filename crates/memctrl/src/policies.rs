@@ -269,6 +269,18 @@ impl Policy for Gmc {
             .map(|i| self.store.remove(i))
     }
 
+    /// A GMC pick finds nothing only when no pending request has
+    /// command-queue room (every step, the age guard included, takes any
+    /// such request), which depends on the store and the bank table alone:
+    /// with neither changed, it still finds nothing.
+    fn pick_settled(&mut self, view: &PolicyView<'_>) -> Option<MemRequest> {
+        debug_assert!(
+            self.store.iter().all(|r| !view.headroom_ok(&r.decoded)),
+            "settled GMC pick has a schedulable request"
+        );
+        None
+    }
+
     fn remove_group(&mut self, wg: WarpGroupId) -> Vec<MemRequest> {
         self.store.remove_group(wg)
     }

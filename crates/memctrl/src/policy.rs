@@ -8,7 +8,9 @@
 //! the controller-side state the paper's schedulers consult: per-bank
 //! last-scheduled rows, command-queue scores (the Bank Table of
 //! Section IV-B.2), the MERB counters (Section IV-D), the write-queue
-//! occupancy (Section IV-E) and the warp-group arrival tracker.
+//! occupancy (Section IV-E) and the warp-group arrival tracker. A pick
+//! whose inputs have not changed since it last found nothing goes to
+//! [`Policy::pick_settled`] instead.
 
 use crate::group::GroupTracker;
 use ldsim_gddr5::MerbTable;
@@ -23,7 +25,9 @@ pub const SCORE_HIT: u32 = 1;
 /// Score of a row-miss request (tRP + tRCD + tCAS, 36 ns — 3x a hit).
 pub const SCORE_MISS: u32 = 3;
 
-/// Per-bank controller state exposed to policies.
+/// Per-bank controller state exposed to policies: one entry of the
+/// controller's Bank Table, which it keeps in place as commands are queued
+/// and issued.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BankSnapshot {
     /// Row that will be open once the already-queued commands drain — the
@@ -138,6 +142,20 @@ pub trait Policy: Send {
     /// ([`PolicyView::headroom_ok`]); returning `None` leaves the command
     /// slot idle this cycle.
     fn pick(&mut self, view: &PolicyView<'_>) -> Option<MemRequest>;
+
+    /// [`Self::pick`] for a settled view: the controller calls this instead
+    /// when this policy's last pick returned `None` and nothing a pick can
+    /// see has changed since, except `view.now`. "Nothing" means no write to
+    /// the bank table, the group tracker or the write-queue occupancy, and
+    /// no call into the policy other than `pick`, `pick_settled`,
+    /// `emit_coord` and the read-only queries (DESIGN.md §13).
+    ///
+    /// It must return what `pick` would return and leave the same state and
+    /// counters behind, but may reach that answer more cheaply from what
+    /// the last pick found. The default calls `pick`.
+    fn pick_settled(&mut self, view: &PolicyView<'_>) -> Option<MemRequest> {
+        self.pick(view)
+    }
 
     /// Remove and return every pending request of `wg` (used by the
     /// zero-divergence fast-track path).

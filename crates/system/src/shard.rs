@@ -47,49 +47,58 @@ pub struct ShardMap {
     shards: usize,
 }
 
+/// The shard count a `shards.meta` text records: exactly `shards=N`, N in
+/// decimal without sign or leading zeros and in `1..=MAX_SHARDS`, with
+/// surrounding ASCII whitespace (the trailing newline) ignored.
+fn parse_meta(text: &str) -> Option<usize> {
+    let v = text.trim_ascii().strip_prefix("shards=")?;
+    let n = v.parse::<usize>().ok()?;
+    ((1..=MAX_SHARDS).contains(&n) && v == n.to_string()).then_some(n)
+}
+
 impl ShardMap {
     /// Open (creating if necessary) the shard map at `dir`. A fresh
     /// directory is laid out with `shards` shard files; an existing one
     /// keeps its recorded count — the on-disk layout is the contract.
+    /// Panics where [`Self::try_open`] returns an error.
     pub fn open(dir: &Path, shards: usize) -> ShardMap {
+        Self::try_open(dir, shards).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::open`], returning an error that names the file when the
+    /// directory or its `shards.meta` cannot be created or read, or the
+    /// meta file is corrupt. `shards` itself must be in `1..=4096`.
+    pub fn try_open(dir: &Path, shards: usize) -> Result<ShardMap, String> {
         assert!(
             (1..=MAX_SHARDS).contains(&shards),
             "shard count must be in 1..={MAX_SHARDS}, got {shards}"
         );
         std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| panic!("cannot create shard dir {}: {e}", dir.display()));
+            .map_err(|e| format!("cannot create shard dir {}: {e}", dir.display()))?;
         let meta = dir.join(META_FILE);
         let shards = match std::fs::read_to_string(&meta) {
-            Ok(text) => {
-                let n = text
-                    .trim()
-                    .strip_prefix("shards=")
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|n| (1..=MAX_SHARDS).contains(n))
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "corrupt shard meta {}: {text:?} (want \"shards=N\")",
-                            meta.display()
-                        )
-                    });
-                n
-            }
+            Ok(text) => parse_meta(&text).ok_or_else(|| {
+                format!(
+                    "corrupt shard meta {}: {text:?} (want \"shards=N\", N in 1..={MAX_SHARDS})",
+                    meta.display()
+                )
+            })?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 // Write-temp-then-rename, like everything else in the map:
                 // two racing creators converge on a whole meta file.
                 let tmp = dir.join(format!("{META_FILE}.tmp.{}", std::process::id()));
                 std::fs::write(&tmp, format!("shards={shards}\n"))
-                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", tmp.display()));
+                    .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
                 std::fs::rename(&tmp, &meta)
-                    .unwrap_or_else(|e| panic!("cannot commit {}: {e}", meta.display()));
+                    .map_err(|e| format!("cannot commit {}: {e}", meta.display()))?;
                 shards
             }
-            Err(e) => panic!("cannot read {}: {e}", meta.display()),
+            Err(e) => return Err(format!("cannot read {}: {e}", meta.display())),
         };
-        ShardMap {
+        Ok(ShardMap {
             dir: dir.to_path_buf(),
             shards,
-        }
+        })
     }
 
     /// Which shard a cellkey lives in. FNV-1a keys are uniform over `u64`,
@@ -230,5 +239,72 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(META_FILE), "shards=zero\n").unwrap();
         ShardMap::open(&dir, 8);
+    }
+
+    #[test]
+    fn try_open_names_a_corrupt_or_unreadable_meta_file() {
+        let dir = tmp("trymeta");
+        std::fs::create_dir_all(&dir).unwrap();
+        let meta = dir.join(META_FILE);
+        for bytes in [&b"shards=zero\n"[..], b"shards=0\n", b"\xff\xfe"] {
+            std::fs::write(&meta, bytes).unwrap();
+            let e = ShardMap::try_open(&dir, 8).unwrap_err();
+            assert!(e.contains(&meta.display().to_string()), "{e}");
+        }
+        std::fs::write(&meta, "shards=3\n").unwrap();
+        assert_eq!(ShardMap::try_open(&dir, 8).unwrap().shard_paths().len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Seeded byte-level fuzzing of the meta-line parser: mutated valid
+    /// lines and random bytes never panic, and a text is accepted only if
+    /// it is `shards=N` (N in 1..=4096) up to surrounding ASCII whitespace;
+    /// every count round-trips through the line the map writes.
+    #[test]
+    fn meta_parser_survives_seeded_byte_fuzzing() {
+        use ldsim_util::StdRng;
+        for n in 1..=MAX_SHARDS {
+            assert_eq!(parse_meta(&format!("shards={n}\n")), Some(n));
+        }
+        for bad in [
+            "shards=0",
+            "shards=4097",
+            "shards=+8",
+            "shards=08",
+            "shards= 8",
+            "Shards=8",
+        ] {
+            assert_eq!(parse_meta(bad), None, "{bad:?}");
+        }
+        let seeds: [&[u8]; 4] = [b"shards=8\n", b"shards=4096\n", b"shards=1", b""];
+        let alphabet = b"shards=0123456789+- \n\r\t\xff";
+        let mut rng = StdRng::seed_from_u64(0x5AAD5);
+        let mut accepted = 0usize;
+        for case in 0..50_000 {
+            let mut bytes = seeds[case % seeds.len()].to_vec();
+            for _ in 0..rng.gen_range(1usize..4) {
+                let b = if rng.gen_bool(0.7) {
+                    alphabet[rng.gen_range(0usize..alphabet.len())]
+                } else {
+                    rng.gen_range(0u8..=255)
+                };
+                let at = rng.gen_range(0usize..=bytes.len());
+                match rng.gen_range(0u32..3) {
+                    0 => bytes.insert(at, b),
+                    1 if at < bytes.len() => bytes[at] = b,
+                    _ if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.push(b),
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Some(n) = parse_meta(&text) {
+                accepted += 1;
+                assert!((1..=MAX_SHARDS).contains(&n), "{text:?}");
+                assert_eq!(text.trim_ascii(), format!("shards={n}"), "{text:?}");
+            }
+        }
+        assert!(accepted > 100, "only {accepted} mutated lines still parsed");
     }
 }
