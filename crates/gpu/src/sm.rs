@@ -76,6 +76,21 @@ enum WState {
     Done,
 }
 
+/// Settled-tick memo (DESIGN.md §13), armed by a tick that issued nothing.
+/// Such a tick leaves a fixpoint: until a fill lands, a busy warp wakes
+/// (which also covers the port freeing) or staged requests see crossbar
+/// room, every later tick drains nothing, wakes nothing, retries the same
+/// warps in the same order with the same failures, and adds only `bump`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Settled {
+    fill_epoch: u64,
+    /// The earliest busy-warp expiry.
+    until: Cycle,
+    /// What each settled tick adds to `(port_busy_cycles,
+    /// mem_idle_cycles)`: one of them, or neither.
+    bump: (u64, u64),
+}
+
 #[derive(Debug)]
 struct WarpCtx {
     pc: usize,
@@ -147,8 +162,6 @@ pub struct Sm {
     pub records: Vec<LoadRecord>,
     /// Warp-instructions retired (IPC numerator).
     pub retired: u64,
-    /// Cycles where a load could not issue for lack of MSHR/injection space.
-    pub resource_stalls: u64,
     /// Bumped on every line fill — the only event that can shrink
     /// `mshr.len() + new_entries` for a blocked warp (see
     /// [`WarpCtx::mshr_block_epoch`]).
@@ -162,6 +175,12 @@ pub struct Sm {
     /// Per-warp largest single-instruction weight (`Compute(k)`/`Delay(k)`
     /// weigh `k`, memory ops 1) — static input to [`Self::budget_lookahead`].
     warp_max_weight: Vec<u64>,
+    /// [`Self::budget_lookahead`]'s triple, recomputed only when a warp
+    /// turns Done — the one transition that moves it.
+    budget: (u64, u64, u64),
+    /// Set by every tick that issued nothing, cleared by every tick that
+    /// issued (see [`Settled`]).
+    settled: Option<Settled>,
 }
 
 impl Sm {
@@ -220,12 +239,13 @@ impl Sm {
             stage_q: std::collections::VecDeque::new(),
             records: Vec::new(),
             retired: 0,
-            resource_stalls: 0,
             fill_epoch: 0,
             port_busy_cycles: 0,
             mem_idle_cycles: 0,
             done_warps,
             warp_max_weight,
+            budget: (0, 0, 0),
+            settled: None,
             programs,
         };
         // Empty programs are Done from the start; everyone else is Ready.
@@ -236,6 +256,7 @@ impl Sm {
                 s.mark_ready(i);
             }
         }
+        s.budget = s.walk_budget();
         s
     }
 
@@ -265,6 +286,7 @@ impl Sm {
         if self.warps[wi].pc >= self.programs[wi].insns.len() {
             self.warps[wi].state = WState::Done;
             self.done_warps += 1;
+            self.budget = self.walk_budget();
         } else {
             self.warps[wi].state = WState::Ready;
             self.mark_ready(wi);
@@ -333,8 +355,13 @@ impl Sm {
     /// The epoch scheduler takes the min per SM — the port bound wins for
     /// many-warps/light-weights kernels, occupancy for few-warps/heavy-
     /// delay ones — and sums across SMs to bound how fast an instruction
-    /// budget can drain.
+    /// budget can drain. Cached: only a warp turning Done moves it.
     pub fn budget_lookahead(&self) -> (u64, u64, u64) {
+        debug_assert_eq!(self.budget, self.walk_budget());
+        self.budget
+    }
+
+    fn walk_budget(&self) -> (u64, u64, u64) {
         let mut live = 0u64;
         let mut overhang = 0u64;
         let mut heaviest = 0u64;
@@ -391,7 +418,94 @@ impl Sm {
     /// One cycle: drain staged requests into the crossbar, wake busy warps,
     /// then let the greedy-then-oldest scheduler issue one instruction.
     /// Outgoing requests (at most `xbar_free`) are appended to `out`.
+    ///
+    /// A tick that issued nothing arms the [`Settled`] memo; while it holds
+    /// (no fill since, `now` before the next busy expiry, and no crossbar
+    /// room for staged requests) a tick only adds the counter the full tick
+    /// would add. Debug builds run the full tick at every hit and assert
+    /// that it changed nothing else.
     pub fn tick(&mut self, now: Cycle, xbar_free: usize, out: &mut Vec<MemRequest>) {
+        if let Some(s) = self.settled {
+            if s.fill_epoch == self.fill_epoch
+                && now < s.until
+                && (xbar_free == 0 || self.stage_q.is_empty())
+            {
+                if cfg!(debug_assertions) {
+                    self.check_settled(s, now, xbar_free, out);
+                } else {
+                    self.port_busy_cycles += s.bump.0;
+                    self.mem_idle_cycles += s.bump.1;
+                }
+                return;
+            }
+        }
+        self.settled = if self.tick_full(now, xbar_free, out) {
+            None
+        } else {
+            Some(self.settle(now))
+        };
+    }
+
+    /// The memo a tick at `now` that issued nothing leaves: the state it
+    /// left holds until the earliest busy expiry (or a fill, or crossbar
+    /// room). That expiry also bounds a busy port: only a `Compute(k)`
+    /// occupies the port, and it keeps its own warp busy until exactly
+    /// `port_free`.
+    fn settle(&self, now: Cycle) -> Settled {
+        let until = self
+            .busy_heap
+            .peek()
+            .map_or(Cycle::MAX, |&std::cmp::Reverse((until, _))| until);
+        debug_assert!(now >= self.port_free || until <= self.port_free);
+        let bump = if now < self.port_free {
+            (1, 0)
+        } else if !self.done() && self.ready_count == 0 && self.busy_heap.is_empty() {
+            (0, 1)
+        } else {
+            (0, 0)
+        };
+        Settled {
+            fill_epoch: self.fill_epoch,
+            until,
+            bump,
+        }
+    }
+
+    /// Debug self-check of a memo hit: run the full tick and assert that it
+    /// issued nothing, sent nothing, woke nothing, added exactly the
+    /// counter the memo predicts and leaves the same memo behind.
+    fn check_settled(
+        &mut self,
+        s: Settled,
+        now: Cycle,
+        xbar_free: usize,
+        out: &mut Vec<MemRequest>,
+    ) {
+        let (sent, busy) = (out.len(), self.busy_heap.len());
+        let (pb, mi) = (self.port_busy_cycles, self.mem_idle_cycles);
+        let issued = self.tick_full(now, xbar_free, out);
+        let bumped = (self.port_busy_cycles - pb, self.mem_idle_cycles - mi);
+        assert!(
+            !issued && out.len() == sent && self.busy_heap.len() == busy && bumped == s.bump,
+            "settled SM {} changed at {now}: issued {issued}, sent {}, busy warps {busy} -> {}, \
+             counters {bumped:?} vs {:?}",
+            self.id.0,
+            out.len() - sent,
+            self.busy_heap.len(),
+            s.bump,
+        );
+        assert_eq!(self.settle(now), s, "settled memo moved at {now}");
+    }
+
+    /// Test-only reference tick: always the full tick, never the memo.
+    #[cfg(test)]
+    fn tick_reference(&mut self, now: Cycle, xbar_free: usize, out: &mut Vec<MemRequest>) {
+        self.tick_full(now, xbar_free, out);
+    }
+
+    /// The full tick behind [`Self::tick`]; returns whether an instruction
+    /// issued.
+    fn tick_full(&mut self, now: Cycle, xbar_free: usize, out: &mut Vec<MemRequest>) -> bool {
         let mut budget = xbar_free;
         while budget > 0 {
             let Some(r) = self.stage_q.pop_front() else {
@@ -413,11 +527,11 @@ impl Sm {
         }
         let n = self.warps.len();
         if n == 0 {
-            return;
+            return false;
         }
         if now < self.port_free {
             self.port_busy_cycles += 1;
-            return;
+            return false;
         }
         if !self.done() && self.ready_count == 0 && self.busy_heap.is_empty() {
             self.mem_idle_cycles += 1;
@@ -435,11 +549,11 @@ impl Sm {
         let li = self.last_issued;
         if self.is_ready(li) {
             if self.try_issue(li, now, can_stage, out, &mut budget) {
-                return;
+                return true;
             }
             attempts += 1;
             if attempts >= 4 {
-                return;
+                return false;
             }
         }
         for word_i in 0..self.ready_words.len() {
@@ -452,14 +566,15 @@ impl Sm {
                 }
                 if self.try_issue(wi, now, can_stage, out, &mut budget) {
                     self.last_issued = wi;
-                    return;
+                    return true;
                 }
                 attempts += 1;
                 if attempts >= 4 {
-                    return;
+                    return false;
                 }
             }
         }
+        false
     }
 
     /// Earliest cycle [`Self::tick`] can change warp state: `now` while
@@ -566,7 +681,6 @@ impl Sm {
                             "memoized MSHR-capacity failure is no longer valid"
                         );
                     }
-                    self.resource_stalls += 1;
                     return false;
                 }
                 // Coalesce here, while `addrs` is still borrowed from the
@@ -649,7 +763,6 @@ impl Sm {
             }
         }
         if self.l1_mshr.len() + new_entries > self.l1_mshr_capacity() {
-            self.resource_stalls += 1;
             self.warps[wi].mshr_block_epoch = self.fill_epoch;
             self.warps[wi].mshr_block_deficit =
                 (self.l1_mshr.len() + new_entries - self.l1_mshr_capacity()) as u64;
@@ -1207,6 +1320,143 @@ mod tests {
         assert_eq!(t2.port_busy_cycles, s2.port_busy_cycles);
         assert_eq!(t2.mem_idle_cycles, s2.mem_idle_cycles);
         assert_eq!(t2.port_busy_cycles, 29);
+    }
+
+    /// A random warp program: compute, delay, stores, and gathers of up to
+    /// `mshr_cap` lines from a small pool — wide enough that a few
+    /// in flight exhaust the MSHR, narrow enough for L1 hits and cross-warp
+    /// merges.
+    fn random_program(rng: &mut ldsim_util::StdRng, mshr_cap: usize) -> WarpProgram {
+        let lanes = |rng: &mut ldsim_util::StdRng| {
+            let lines: Vec<u64> = (0..rng.gen_range(1..=mshr_cap.min(32)))
+                .map(|_| rng.gen_range(0..96u64) * 128)
+                .collect();
+            let mut addrs = [0u64; 32];
+            for a in addrs.iter_mut() {
+                *a = lines[rng.gen_range(0..lines.len())] + rng.gen_range(0..32u64) * 4;
+            }
+            let mut mask = LaneMask::ALL;
+            if rng.gen_bool(0.3) {
+                mask = LaneMask::NONE;
+                for l in 0..32 {
+                    if rng.gen_bool(0.5) {
+                        mask.set(l);
+                    }
+                }
+            }
+            (Box::new(addrs), mask)
+        };
+        let len = rng.gen_range(1..=12usize);
+        let insns = (0..len)
+            .map(|_| match rng.gen_range(0..6u32) {
+                0 => I::Compute(rng.gen_range(0..=4u32)),
+                1 => I::Delay(rng.gen_range(0..=30u32)),
+                2 => {
+                    let (addrs, mask) = lanes(rng);
+                    I::Store { addrs, mask }
+                }
+                _ => {
+                    let (addrs, mask) = lanes(rng);
+                    I::Load { addrs, mask }
+                }
+            })
+            .collect();
+        WarpProgram::new(insns)
+    }
+
+    #[test]
+    fn settled_ticks_match_full_ticks_under_random_traffic() {
+        // Twins under the same programs, crossbar room and fills: one SM
+        // ticks through the settled memo, the other always runs the full
+        // tick. Every cycle must leave both with the same retired count,
+        // records, counters, emitted requests and next event, and the
+        // cached budget lookahead must equal a fresh walk. Idle gaps are
+        // skipped as the main loop skips them.
+        let mut hits = 0u64;
+        for case in 0..240u64 {
+            let mut rng = ldsim_util::StdRng::seed_from_u64(0x5e77_1ed0 ^ case);
+            let mut cfg = GpuConfig::default();
+            cfg.l1.mshr_entries = rng.gen_range(2..=40usize);
+            let mapper = AddressMapper::new(&MemConfig::default(), 128);
+            let programs: Vec<WarpProgram> = (0..rng.gen_range(1..=12usize))
+                .map(|_| random_program(&mut rng, cfg.l1.mshr_entries))
+                .collect();
+            let mut memo = Sm::new(SmId(0), &cfg, mapper, programs.clone());
+            let mut full = Sm::new(SmId(0), &cfg, mapper, programs);
+            let no_room = [0.2, 0.6, 0.9][rng.gen_range(0..3usize)];
+            let fill_p = [0.02, 0.1, 0.4][rng.gen_range(0..3usize)];
+            let mut in_flight: Vec<u64> = Vec::new();
+            let (mut out_m, mut out_f) = (Vec::new(), Vec::new());
+            let mut now: Cycle = 0;
+            while now < 20_000 && !(memo.done() && full.done()) {
+                if !in_flight.is_empty() && rng.gen_bool(fill_p) {
+                    for _ in 0..rng.gen_range(1..=in_flight.len().min(4)) {
+                        let line = in_flight.swap_remove(rng.gen_range(0..in_flight.len()));
+                        let resp = SmResponse {
+                            line_addr: line,
+                            from_dram: rng.gen_bool(0.7),
+                            dram_cycle: now.saturating_sub(rng.gen_range(0..50u64)),
+                        };
+                        memo.accept_response(resp, now);
+                        full.accept_response(resp, now);
+                    }
+                }
+                let room = if rng.gen_bool(no_room) {
+                    0
+                } else {
+                    rng.gen_range(1..=8usize)
+                };
+                if memo.settled.is_some_and(|s| {
+                    s.fill_epoch == memo.fill_epoch
+                        && now < s.until
+                        && (room == 0 || memo.stage_q.is_empty())
+                }) {
+                    hits += 1;
+                }
+                out_m.clear();
+                out_f.clear();
+                memo.tick(now, room, &mut out_m);
+                full.tick_reference(now, room, &mut out_f);
+                let ctx = format!("case {case} cycle {now}");
+                assert_eq!(out_m, out_f, "{ctx}: emitted requests");
+                assert_eq!(
+                    (memo.retired, memo.port_busy_cycles, memo.mem_idle_cycles),
+                    (full.retired, full.port_busy_cycles, full.mem_idle_cycles),
+                    "{ctx}: retired, port-busy and mem-idle counters"
+                );
+                assert_eq!(
+                    format!("{:?}", memo.records),
+                    format!("{:?}", full.records),
+                    "{ctx}: load records"
+                );
+                assert_eq!(memo.next_event(now + 1), full.next_event(now + 1), "{ctx}");
+                assert_eq!(
+                    memo.budget_lookahead(),
+                    memo.walk_budget(),
+                    "{ctx}: budget cache"
+                );
+                in_flight.extend(
+                    out_m
+                        .iter()
+                        .filter(|r| r.kind == ReqKind::Read)
+                        .map(|r| r.line_addr),
+                );
+                now += 1;
+                // Skip an idle gap (no fill lands inside it) the way the
+                // main loop does, up to the SMs' next event.
+                if rng.gen_bool(0.1) && memo.next_event(now).is_none_or(|e| e > now) {
+                    let target = memo
+                        .next_event(now)
+                        .unwrap_or(Cycle::MAX)
+                        .min(now + rng.gen_range(1..=60u64));
+                    memo.skip(now, target);
+                    full.skip(now, target);
+                    now = target;
+                }
+            }
+            assert!(memo.done() && full.done(), "case {case} did not finish");
+        }
+        assert!(hits > 100_000, "only {hits} settled ticks exercised");
     }
 
     #[test]

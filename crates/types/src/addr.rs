@@ -47,6 +47,8 @@ use crate::ids::{BankId, ChannelId};
 const BLOCK_SHIFT: u32 = 8;
 /// Number of row-address bits kept (8192 rows per bank on Table II).
 const ROW_BITS: u32 = 13;
+/// The keys of [`AddressMapper::spec`], in render order.
+const SPEC_KEYS: [&str; 7] = ["line", "blk", "nch", "nbk", "grp", "rowblks", "rowbits"];
 
 /// A fully decoded physical address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -211,13 +213,12 @@ impl AddressMapper {
     /// channel-interleave block is fixed) and the power-of-two keys are
     /// validated.
     pub fn from_spec(spec: &str) -> Result<Self, String> {
-        const KEYS: [&str; 7] = ["line", "blk", "nch", "nbk", "grp", "rowblks", "rowbits"];
         let mut vals = [None::<u64>; 7];
         for part in spec.split(':') {
             let (key, val) = part
                 .split_once('=')
                 .ok_or_else(|| format!("addr spec: '{part}' is not key=value"))?;
-            let idx = KEYS
+            let idx = SPEC_KEYS
                 .iter()
                 .position(|k| *k == key)
                 .ok_or_else(|| format!("addr spec: unknown key '{key}'"))?;
@@ -231,7 +232,8 @@ impl AddressMapper {
                 .ok_or_else(|| format!("addr spec: {key}={val} is not a positive integer"))?;
             vals[idx] = Some(v);
         }
-        let get = |i: usize| vals[i].ok_or_else(|| format!("addr spec: missing key '{}'", KEYS[i]));
+        let get =
+            |i: usize| vals[i].ok_or_else(|| format!("addr spec: missing key '{}'", SPEC_KEYS[i]));
         let (line, blk, nch, nbk, grp, rowblks, rowbits) = (
             get(0)?,
             get(1)?,
@@ -452,6 +454,42 @@ mod tests {
         assert_eq!(
             mapper().spec(),
             "line=128:blk=256:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13"
+        );
+    }
+
+    #[test]
+    fn spec_survives_seeded_fuzzing() {
+        // Mutated specs of every preset's mapper at four line sizes: no
+        // panic, every error carries the `addr spec:` prefix, and every
+        // accepted spec round-trips parse -> render -> parse.
+        let mut rng = ldsim_util::StdRng::seed_from_u64(0xadd7_5eed);
+        let (mut accepted, mut rejected) = (0u32, 0u32);
+        for p in Preset::ALL {
+            let (mem, _) = p.mem_and_clock();
+            for line in [32, 64, 128, 256] {
+                let spec = AddressMapper::new(&mem, line).spec();
+                for _ in 0..1_500 {
+                    let s = crate::config::mutate_key_values(&spec, &SPEC_KEYS, &mut rng);
+                    match AddressMapper::from_spec(&s) {
+                        Ok(m) => {
+                            accepted += 1;
+                            let r = m.spec();
+                            let back = AddressMapper::from_spec(&r)
+                                .unwrap_or_else(|e| panic!("render of {s:?} is refused: {e}"));
+                            assert_eq!(back, m, "{s:?} did not round-trip via {r:?}");
+                            assert_eq!(back.spec(), r, "{s:?}");
+                        }
+                        Err(e) => {
+                            rejected += 1;
+                            assert!(e.starts_with("addr spec: "), "{s:?}: unnamed error {e:?}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            accepted > 500 && rejected > 2_000,
+            "{accepted} accepted, {rejected} rejected"
         );
     }
 

@@ -769,6 +769,76 @@ impl Preset {
     }
 }
 
+/// One seeded mutation of a `key=value:key=value` string, for the parser
+/// fuzz loops: one to three edits, each a byte flip, insert, delete or
+/// truncation, or a token edit — a value swapped for an edge case, a part
+/// dropped or repeated, or a key renamed — so mutants reach the value and
+/// geometry checks as well as the tokenizer.
+#[cfg(test)]
+pub(crate) fn mutate_key_values(s: &str, keys: &[&str], rng: &mut ldsim_util::StdRng) -> String {
+    const VALUES: [&str; 24] = [
+        "0",
+        "-0",
+        "1",
+        "-1",
+        "2",
+        "3",
+        "7",
+        "12",
+        "31",
+        "32",
+        "96",
+        "256",
+        "384",
+        "0.5",
+        "1e3",
+        "1e400",
+        "nan",
+        "inf",
+        "-inf",
+        "",
+        "+4",
+        ".5",
+        "0x10",
+        "18446744073709551616",
+    ];
+    let mut s = s.to_string();
+    for _ in 0..rng.gen_range(1..=3u32) {
+        let mut parts: Vec<String> = s.split(':').map(str::to_string).collect();
+        let at = rng.gen_range(0..parts.len());
+        let key = parts[at].split('=').next().unwrap_or("").to_string();
+        match rng.gen_range(0..8u32) {
+            0 | 1 => parts[at] = format!("{key}={}", VALUES[rng.gen_range(0..VALUES.len())]),
+            2 => drop(parts.remove(at)),
+            3 => parts.push(parts[at].clone()),
+            4 => {
+                let value = parts[at].split_once('=').map_or("", |(_, v)| v).to_string();
+                let renamed = if rng.gen_bool(0.8) {
+                    keys[rng.gen_range(0..keys.len())]
+                } else {
+                    "x"
+                };
+                parts[at] = format!("{renamed}={value}");
+            }
+            op => {
+                let mut bytes = parts.join(":").into_bytes();
+                if !bytes.is_empty() {
+                    let at = rng.gen_range(0..bytes.len());
+                    match op {
+                        5 => bytes[at] ^= 1 << rng.gen_range(0..8u32),
+                        6 => bytes.insert(at, rng.next_u64() as u8),
+                        _ if rng.gen_bool(0.5) => drop(bytes.remove(at)),
+                        _ => bytes.truncate(at),
+                    }
+                }
+                parts = vec![String::from_utf8_lossy(&bytes).into_owned()];
+            }
+        }
+        s = parts.join(":");
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -979,6 +1049,41 @@ mod tests {
         ] {
             assert!(parse_timing_string(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn timing_string_survives_seeded_fuzzing() {
+        // Mutated preset strings: no panic, every error carries the
+        // `timing string:` prefix, and every accepted string round-trips
+        // parse -> render -> parse (and its render is canonical).
+        let mut rng = ldsim_util::StdRng::seed_from_u64(0x7131_5eed);
+        let (mut accepted, mut rejected) = (0u32, 0u32);
+        for p in Preset::ALL {
+            for _ in 0..6_000 {
+                let s = mutate_key_values(p.timing_string(), &TIMING_KEYS, &mut rng);
+                match parse_timing_string(&s) {
+                    Ok((mem, clock)) => {
+                        accepted += 1;
+                        let r = render_timing_string(&mem, clock);
+                        let back = parse_timing_string(&r)
+                            .unwrap_or_else(|e| panic!("render of {s:?} is refused: {e}"));
+                        assert_eq!(back, (mem, clock), "{s:?} did not round-trip via {r:?}");
+                        assert_eq!(render_timing_string(&back.0, back.1), r, "{s:?}");
+                    }
+                    Err(e) => {
+                        rejected += 1;
+                        assert!(
+                            e.starts_with("timing string: "),
+                            "{s:?}: unnamed error {e:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            accepted > 2_000 && rejected > 2_000,
+            "{accepted} accepted, {rejected} rejected"
+        );
     }
 
     #[test]
