@@ -6,7 +6,7 @@
 //! the unit-group write pre-drain and the drain bypass), in two modes:
 //!
 //! * **indexed** — the default incremental-index pick paths plus the
-//!   controller's ready-cycle cache (DESIGN.md §13);
+//!   controller's bank-front ready table (DESIGN.md §13);
 //! * **reference** — the original scan-based picks, kept behind
 //!   `SimConfig::with_reference_picks(true)` for differential testing.
 //!

@@ -255,19 +255,21 @@ impl Channel {
         &self.banks[b.0 as usize]
     }
 
+    /// The bank group `b` belongs to.
     #[inline]
-    fn group_of(&self, b: BankId) -> u8 {
+    pub fn group_of(&self, b: BankId) -> u8 {
         (b.0 as usize / self.banks_per_group) as u8
     }
 
     /// Minimum spacing from the previous column command to one issued now
-    /// targeting `bank` (tCCDL within the same bank group, tCCDS across).
+    /// targeting bank group `group` (tCCDL within the same bank group,
+    /// tCCDS across).
     #[inline]
-    fn col_ready(&self, bank: BankId) -> Cycle {
+    fn col_ready(&self, group: u8) -> Cycle {
         match self.last_col {
             None => 0,
             Some((cyc, grp)) => {
-                let gap = if grp == self.group_of(bank) {
+                let gap = if grp == group {
                     self.t.t_ccdl
                 } else {
                     self.t.t_ccds
@@ -307,7 +309,7 @@ impl Channel {
         if !b.is_open() || now < b.rd_ready {
             return false;
         }
-        if now < self.col_ready(bank) {
+        if now < self.col_ready(self.group_of(bank)) {
             return false;
         }
         // tWTR: read command must wait after the last write data burst ends.
@@ -324,7 +326,7 @@ impl Channel {
         if !b.is_open() || now < b.wr_ready {
             return false;
         }
-        if now < self.col_ready(bank) {
+        if now < self.col_ready(self.group_of(bank)) {
             return false;
         }
         // Read→write: the write burst must trail the last read burst by the
@@ -430,38 +432,64 @@ impl Channel {
     /// row-buffer state, e.g. ACT to an open bank). This is the exact
     /// inverse of [`Self::can_issue`]: for any returned `r < Cycle::MAX`,
     /// `can_issue(cmd, t)` is false for `t < r` and true at `t == r`.
+    ///
+    /// It is the later of two parts that change at different times: the
+    /// bank-local [`Self::bank_ready`], which only a command to that bank
+    /// (or a refresh) moves, and the channel-wide floor of the command's
+    /// class ([`Self::act_floor`], [`Self::read_floor`],
+    /// [`Self::write_floor`]; none for PRE), which every issued command and
+    /// fast read may move.
     pub fn ready_cycle(&self, cmd: &Command) -> Cycle {
+        let floor = match *cmd {
+            Command::Act { .. } => self.act_floor(),
+            Command::Pre { .. } => 0,
+            Command::Read { bank, .. } => self.read_floor(self.group_of(bank)),
+            Command::Write { bank, .. } => self.write_floor(self.group_of(bank)),
+        };
+        self.bank_ready(cmd).max(floor)
+    }
+
+    /// Bank-local part of [`Self::ready_cycle`]: the command's
+    /// `Bank::*_ready_at`, or [`Cycle::MAX`] when the bank's row-buffer
+    /// state forbids it.
+    #[inline]
+    pub fn bank_ready(&self, cmd: &Command) -> Cycle {
+        let b = self.bank(cmd.bank());
         match *cmd {
-            Command::Act { bank, .. } => {
-                let Some(mut r) = self.bank(bank).act_ready_at() else {
-                    return Cycle::MAX;
-                };
-                if let Some(last) = self.last_act {
-                    r = r.max(last + self.t.t_rrd);
-                }
-                if self.act_window_len == 4 {
-                    r = r.max(self.act_window[0] + self.t.t_faw);
-                }
-                r
-            }
-            Command::Pre { bank } => self.bank(bank).pre_ready_at().unwrap_or(Cycle::MAX),
-            Command::Read { bank, .. } => {
-                let Some(r) = self.bank(bank).rd_ready_at() else {
-                    return Cycle::MAX;
-                };
-                r.max(self.col_ready(bank))
-                    .max(self.last_write_data_end + self.t.t_wtr)
-                    .max(self.bus_free.saturating_sub(self.t.t_cas))
-            }
-            Command::Write { bank, .. } => {
-                let Some(r) = self.bank(bank).wr_ready_at() else {
-                    return Cycle::MAX;
-                };
-                r.max(self.col_ready(bank))
-                    .max((self.last_read_data_end + self.t.t_rtrs).saturating_sub(self.t.t_wl))
-                    .max(self.bus_free.saturating_sub(self.t.t_wl))
-            }
+            Command::Act { .. } => b.act_ready_at(),
+            Command::Pre { .. } => b.pre_ready_at(),
+            Command::Read { .. } => b.rd_ready_at(),
+            Command::Write { .. } => b.wr_ready_at(),
         }
+        .unwrap_or(Cycle::MAX)
+    }
+
+    /// Channel-wide floor of an ACT: tRRD and tFAW.
+    #[inline]
+    pub fn act_floor(&self) -> Cycle {
+        let mut r = self.last_act.map_or(0, |last| last + self.t.t_rrd);
+        if self.act_window_len == 4 {
+            r = r.max(self.act_window[0] + self.t.t_faw);
+        }
+        r
+    }
+
+    /// Channel-wide floor of a column READ to bank group `group`:
+    /// tCCDL/tCCDS, tWTR and the data bus.
+    #[inline]
+    pub fn read_floor(&self, group: u8) -> Cycle {
+        self.col_ready(group)
+            .max(self.last_write_data_end + self.t.t_wtr)
+            .max(self.bus_free.saturating_sub(self.t.t_cas))
+    }
+
+    /// Channel-wide floor of a column WRITE to bank group `group`:
+    /// tCCDL/tCCDS, the read-to-write turnaround (tRTRS) and the data bus.
+    #[inline]
+    pub fn write_floor(&self, group: u8) -> Cycle {
+        self.col_ready(group)
+            .max((self.last_read_data_end + self.t.t_rtrs).saturating_sub(self.t.t_wl))
+            .max(self.bus_free.saturating_sub(self.t.t_wl))
     }
 
     /// Earliest cycle [`Self::try_fast_read`] would succeed.

@@ -242,10 +242,11 @@ impl<W> Mshr<W> {
         self.entries.is_empty()
     }
 
-    /// Would registering a miss on `line` need a new entry, and is there
-    /// room? (Query without mutation, for all-or-nothing load issue.)
-    pub fn can_accept(&self, line: u64) -> bool {
-        self.entries.contains_key(&line) || self.entries.len() < self.capacity
+    /// Room for another in-flight line? (A line already in flight merges
+    /// without one.)
+    #[inline]
+    pub fn has_room(&self) -> bool {
+        self.entries.len() < self.capacity
     }
 
     pub fn in_flight(&self, line: u64) -> bool {
@@ -391,8 +392,8 @@ mod tests {
         assert_eq!(m.register(5, 2), MshrOutcome::Merged);
         assert_eq!(m.register(6, 3), MshrOutcome::Allocated);
         assert_eq!(m.register(7, 4), MshrOutcome::Full);
-        assert!(m.can_accept(5), "existing line always accepts");
-        assert!(!m.can_accept(7));
+        assert!(!m.has_room());
+        assert!(m.in_flight(5) && !m.in_flight(7));
         assert_eq!(m.waiters(5), &[1, 2]);
         assert_eq!(m.fill(5).collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(m.fill(5).count(), 0);

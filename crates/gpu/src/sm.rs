@@ -154,6 +154,9 @@ pub struct Sm {
     scratch_misses: Vec<u64>,
     scratch_keys: Vec<(u8, u8, u32)>,
     scratch_reqs: Vec<MemRequest>,
+    /// Per channel: a load's requests to it, and how many of them are
+    /// numbered so far.
+    scratch_per_channel: Vec<(u16, u16)>,
     /// Requests of an issued load/store still waiting for crossbar space;
     /// drained in order, at most `xbar_free` per cycle. Lets a wide gather
     /// issue atomically without requiring a huge injection budget.
@@ -236,6 +239,7 @@ impl Sm {
             scratch_misses: Vec::with_capacity(32),
             scratch_keys: Vec::with_capacity(32),
             scratch_reqs: Vec::with_capacity(32),
+            scratch_per_channel: vec![(0, 0); mapper.num_channels()],
             stage_q: std::collections::VecDeque::new(),
             records: Vec::new(),
             retired: 0,
@@ -799,10 +803,11 @@ impl Sm {
         // and last-of-group tags.
         let mut reqs = std::mem::take(&mut self.scratch_reqs);
         reqs.clear();
-        let mut per_channel = [0u16; 16];
+        let mut per_channel = std::mem::take(&mut self.scratch_per_channel);
+        per_channel.fill((0, 0));
         for &l in &new_misses {
             let d = self.mapper.decode(l << self.line_shift);
-            per_channel[d.channel.0 as usize] += 1;
+            per_channel[d.channel.0 as usize].0 += 1;
             reqs.push(MemRequest {
                 id: self.fresh_id(),
                 kind: ReqKind::Read,
@@ -816,12 +821,11 @@ impl Sm {
             });
         }
         self.scratch_misses = new_misses;
-        let mut seen = [0u16; 16];
         for r in reqs.iter_mut() {
-            let c = r.decoded.channel.0 as usize;
-            seen[c] += 1;
-            r.group_size_on_channel = per_channel[c];
-            r.last_of_group = seen[c] == per_channel[c];
+            let (size, seen) = &mut per_channel[r.decoded.channel.0 as usize];
+            *seen += 1;
+            r.group_size_on_channel = *size;
+            r.last_of_group = *seen == *size;
         }
 
         // Load record bookkeeping. One sorted pass over (channel, bank,
@@ -831,11 +835,12 @@ impl Sm {
         // member" scan — and the distinct (channel, bank) prefixes are the
         // old sort-dedup pair count.
         let mut channels = 0u32;
-        for &c in per_channel.iter() {
+        for &(c, _) in per_channel.iter() {
             if c > 0 {
                 channels += 1;
             }
         }
+        self.scratch_per_channel = per_channel;
         let mut keys = std::mem::take(&mut self.scratch_keys);
         keys.clear();
         keys.extend(

@@ -17,6 +17,9 @@ pub struct Crossbar<T> {
     latency: Cycle,
     num_dsts: usize,
     src_q: Vec<VecDeque<(usize, T)>>,
+    /// Bit `s` set iff `src_q[s]` is non-empty, 64 sources per word: the
+    /// grant loop visits only these.
+    live: Vec<u64>,
     src_cap: usize,
     /// In-flight payloads, ordered by arrival cycle (monotone by
     /// construction).
@@ -37,6 +40,7 @@ impl<T> Crossbar<T> {
             latency,
             num_dsts,
             src_q: (0..num_srcs).map(|_| VecDeque::new()).collect(),
+            live: vec![0; num_srcs.div_ceil(64)],
             src_cap,
             flight: VecDeque::new(),
             rr: 0,
@@ -60,6 +64,7 @@ impl<T> Crossbar<T> {
             return false;
         }
         self.src_q[src].push_back((dst, payload));
+        self.live[src / 64] |= 1 << (src % 64);
         true
     }
 
@@ -72,35 +77,36 @@ impl<T> Crossbar<T> {
     pub fn tick(
         &mut self,
         now: Cycle,
+        can_accept: impl FnMut(usize) -> bool,
+        deliver: impl FnMut(usize, T),
+    ) {
+        self.grant(now);
+        self.deliver_due(now, can_accept, deliver);
+    }
+
+    /// [`Self::tick`] with the reference grant loop over every source.
+    #[cfg(test)]
+    fn tick_reference(
+        &mut self,
+        now: Cycle,
+        can_accept: impl FnMut(usize) -> bool,
+        deliver: impl FnMut(usize, T),
+    ) {
+        for src in self.reference_grants() {
+            self.take_head(src, now);
+        }
+        self.rr = (self.rr + 1) % self.src_q.len();
+        self.deliver_due(now, can_accept, deliver);
+    }
+
+    /// Deliver arrivals due at `now`; rejected destinations retry next
+    /// cycle.
+    fn deliver_due(
+        &mut self,
+        now: Cycle,
         mut can_accept: impl FnMut(usize) -> bool,
         mut deliver: impl FnMut(usize, T),
     ) {
-        let ns = self.src_q.len();
-        // One grant per destination per cycle.
-        self.granted.fill(false);
-        let mut s = self.rr;
-        for _ in 0..ns {
-            let src = s;
-            s += 1;
-            if s == ns {
-                s = 0;
-            }
-            let Some(&(dst, _)) = self.src_q[src].front() else {
-                continue;
-            };
-            if self.granted[dst] {
-                continue;
-            }
-            self.granted[dst] = true;
-            let (dst, t) = self.src_q[src].pop_front().unwrap();
-            self.flight.push_back((now + self.latency, dst, t));
-            self.accepted += 1;
-        }
-        self.rr += 1;
-        if self.rr == ns {
-            self.rr = 0;
-        }
-        // Deliver due payloads; rejected destinations retry next cycle.
         debug_assert!(self.kept.is_empty());
         self.blocked.fill(false);
         while let Some(&(arrive, _, _)) = self.flight.front() {
@@ -120,16 +126,103 @@ impl<T> Crossbar<T> {
         }
     }
 
+    /// One grant per destination, visiting the non-empty sources in
+    /// round-robin order from `rr`: the words from `rr`'s (its bits at or
+    /// above `rr`) to the last, then from the first back to `rr`'s (its
+    /// bits below `rr`). That is the order the loop over every source
+    /// reaches them in; an empty source grants nothing, and a granted
+    /// source's next head waits for the next cycle either way.
+    fn grant(&mut self, now: Cycle) {
+        #[cfg(debug_assertions)]
+        let expect = self.reference_grants();
+        #[cfg(debug_assertions)]
+        let mut got = Vec::new();
+        self.granted.fill(false);
+        let mut open = self.num_dsts;
+        let (w0, bit0) = (self.rr / 64, self.rr % 64);
+        let spans = std::iter::once((w0, !0u64 << bit0))
+            .chain((w0 + 1..self.live.len()).chain(0..w0).map(|w| (w, !0u64)))
+            .chain(std::iter::once((w0, (1u64 << bit0) - 1)));
+        'grant: for (w, keep) in spans {
+            let mut bits = self.live[w] & keep;
+            while bits != 0 {
+                let src = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let dst = self.src_q[src].front().expect("live source has a head").0;
+                if self.granted[dst] {
+                    continue;
+                }
+                self.granted[dst] = true;
+                self.take_head(src, now);
+                #[cfg(debug_assertions)]
+                got.push(src);
+                open -= 1;
+                if open == 0 {
+                    // Every destination is taken: the remaining sources
+                    // would all be refused.
+                    break 'grant;
+                }
+            }
+        }
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            got, expect,
+            "masked grants disagree with the round-robin loop"
+        );
+        self.rr += 1;
+        if self.rr == self.src_q.len() {
+            self.rr = 0;
+        }
+    }
+
+    /// Grant `src`'s head: it leaves the source FIFO and flies.
+    #[inline]
+    fn take_head(&mut self, src: usize, now: Cycle) {
+        let q = &mut self.src_q[src];
+        let (dst, t) = q.pop_front().expect("granted an empty source");
+        if q.is_empty() {
+            self.live[src / 64] &= !(1 << (src % 64));
+        }
+        self.flight.push_back((now + self.latency, dst, t));
+        self.accepted += 1;
+    }
+
+    /// The reference grant loop over every source, from `rr`: the sources
+    /// a tick grants, in grant order, without granting them.
+    #[cfg(any(test, debug_assertions))]
+    fn reference_grants(&self) -> Vec<usize> {
+        let ns = self.src_q.len();
+        let mut granted = vec![false; self.num_dsts];
+        let mut out = Vec::new();
+        for k in 0..ns {
+            let src = (self.rr + k) % ns;
+            let Some(&(dst, _)) = self.src_q[src].front() else {
+                continue;
+            };
+            if !granted[dst] {
+                granted[dst] = true;
+                out.push(src);
+            }
+        }
+        out
+    }
+
+    /// Any source FIFO non-empty?
+    #[inline]
+    fn any_queued(&self) -> bool {
+        self.live.iter().any(|&w| w != 0)
+    }
+
     /// Anything queued or flying?
     pub fn busy(&self) -> bool {
-        !self.flight.is_empty() || self.src_q.iter().any(|q| !q.is_empty())
+        !self.flight.is_empty() || self.any_queued()
     }
 
     /// Earliest cycle [`Self::tick`] could move a payload: `now` while any
     /// source FIFO holds a head to grant (or a blocked delivery is
     /// retrying), else the first in-flight arrival. `None` when empty.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.src_q.iter().any(|q| !q.is_empty()) {
+        if self.any_queued() {
             return Some(now);
         }
         self.flight.front().map(|&(arrive, _, _)| arrive.max(now))
@@ -303,6 +396,71 @@ mod tests {
         xb.tick(0, |_| true, |_, _| {});
         assert_eq!(xb.next_event(1), Some(5), "in-flight arrival at 5");
         assert_eq!(xb.next_event(7), Some(7), "past-due clamps to now");
+    }
+
+    #[test]
+    fn masked_grants_match_the_round_robin_loop() {
+        // Twin crossbars fed the same random traffic, one granting through
+        // the live-source mask, the other through the loop over every
+        // source: every acceptance check, delivery, grant count and
+        // horizon must agree, every cycle, with idle gaps skipped.
+        let mut rng = ldsim_util::StdRng::seed_from_u64(0x6a27_5eed);
+        for (srcs, dsts) in [(6, 30), (30, 6), (100, 7), (200, 9)] {
+            for case in 0..12u64 {
+                let (lat, cap) = (rng.gen_range(1..4u64), rng.gen_range(1..6usize));
+                let mut a: Crossbar<u64> = Crossbar::new(srcs, dsts, lat, cap);
+                let mut b: Crossbar<u64> = Crossbar::new(srcs, dsts, lat, cap);
+                let load = [0.02, 0.1, 0.3, 0.9][rng.gen_range(0..4usize)];
+                let (mut now, mut next_id) = (0, 0u64);
+                while now < 2_000 {
+                    for src in 0..srcs {
+                        if rng.gen_bool(load) && a.free_space(src) > 0 {
+                            let dst = rng.gen_range(0..dsts);
+                            assert!(a.inject(src, dst, next_id) && b.inject(src, dst, next_id));
+                            next_id += 1;
+                        }
+                    }
+                    let room: Vec<bool> = (0..dsts).map(|_| rng.gen_bool(0.6)).collect();
+                    let (mut log_a, mut log_b) = (Vec::new(), Vec::new());
+                    let log = std::cell::RefCell::new(&mut log_a);
+                    a.tick(
+                        now,
+                        |d| {
+                            log.borrow_mut().push((d, None));
+                            room[d]
+                        },
+                        |d, t| log.borrow_mut().push((d, Some(t))),
+                    );
+                    let log = std::cell::RefCell::new(&mut log_b);
+                    b.tick_reference(
+                        now,
+                        |d| {
+                            log.borrow_mut().push((d, None));
+                            room[d]
+                        },
+                        |d, t| log.borrow_mut().push((d, Some(t))),
+                    );
+                    let at = format!("{srcs} sources, case {case}, cycle {now}");
+                    assert_eq!(log_a, log_b, "{at}");
+                    assert_eq!(a.accepted, b.accepted, "{at}");
+                    assert_eq!(a.busy(), b.busy(), "{at}");
+                    now += 1;
+                    assert_eq!(a.next_event(now), b.next_event(now), "{at}");
+                    if rng.gen_bool(0.05) {
+                        // An idle stretch as the main loop would skip it.
+                        if let Some(ev) = a.next_event(now).filter(|&ev| ev > now) {
+                            a.skip(ev - now);
+                            b.skip(ev - now);
+                            now = ev;
+                        }
+                    }
+                }
+                assert!(
+                    a.accepted > 100,
+                    "{srcs} sources, case {case}: too little traffic"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,13 +9,15 @@
 //!    watermarks (Section II-C);
 //! 4. one transaction (a request) is expanded into per-bank DRAM commands —
 //!    chosen by the policy for reads, or FR-among-writes during a drain;
-//! 5. one DRAM command legal under the GDDR5 protocol is issued, scanning
-//!    banks in bank-group-interleaved round-robin order.
+//! 5. one DRAM command legal under the GDDR5 protocol is issued, picked in
+//!    bank-group-interleaved round-robin order from the bank-front ready
+//!    table ([`crate::fronts`]).
 //!
 //! The controller also implements the *Zero Latency Divergence* ideal model
 //! (Fig. 4): fast-tracked groups bypass bank timing and pay only data-bus
 //! occupancy, which keeps bus bandwidth and contention faithful.
 
+use crate::fronts::{first_from, FrontTable};
 use crate::group::GroupTracker;
 use crate::policy::{BankSnapshot, CoordMsg, Policy, PolicyView, SCORE_HIT, SCORE_MISS};
 use ldsim_gddr5::{Channel, Command, MerbTable};
@@ -140,30 +142,23 @@ pub struct Controller {
 
     pub groups: GroupTracker,
     pub stats: CtrlStats,
+    /// Rotation position the next command pick starts from.
     bank_rotate: usize,
-    /// Bank scan order interleaving bank groups (g0b0, g1b0, g2b0, ...).
-    bank_order: Vec<usize>,
+    /// Each bank-queue front's ready cycle, split into its bank-local and
+    /// channel-wide parts, in bank-group-interleaved rotation order
+    /// (g0b0, g1b0, g2b0, ...). Kept current at every front change and
+    /// channel mutation (DESIGN.md §13).
+    fronts: FrontTable,
     /// Per-bank command-queue depth sampled at every transaction enqueue
     /// (None = zero cost). Observation-only.
     depth_hist: Option<Box<Histogram>>,
     /// Busy-bank count (the MERB view's notion of in-service banks) sampled
     /// at every successful read pick (None = zero cost). Observation-only.
     merb_occ_hist: Option<Box<Histogram>>,
-    /// Cached [`Channel::ready_cycle`] of each bank's front command, valid
-    /// while `ready_epoch[b] == chan_epoch`. Because `ready_cycle` is the
-    /// exact inverse of `can_issue` and command legality is monotone in time
-    /// for a fixed channel state, `now >= cached` (with the cache valid)
-    /// decides issuability without re-deriving timing (DESIGN.md §13).
-    ready_cache: Vec<Cycle>,
-    ready_epoch: Vec<u64>,
-    /// Bumped on every channel mutation; per-bank epochs of 0 never match
-    /// (the counter starts at 1), which is how queue-front changes are
-    /// invalidated individually.
-    chan_epoch: u64,
     /// Issue floor: no bank-front command can issue before this cycle. Set
     /// by a bank scan that issued nothing (the earliest ready cycle it
-    /// checked) and voided (0) by every channel mutation and every
-    /// enqueue, the only events that move a front's ready cycle
+    /// saw) and voided (0) by every channel mutation and every new queue
+    /// front, the only events that move a front's ready cycle
     /// (DESIGN.md §13).
     issue_floor: Cycle,
     /// Change counter of everything a pick can see except `now`: the bank
@@ -173,6 +168,11 @@ pub struct Controller {
     /// `view_gen` when the last pick returned `None`: while the two are
     /// equal, the next pick goes to [`Policy::pick_settled`].
     settled_gen: u64,
+    /// Test-only twin switch: pick commands with the reference two-pass
+    /// scan over [`Channel::ready_cycle`], every cycle, instead of the
+    /// table.
+    #[cfg(test)]
+    reference_scan: bool,
 }
 
 impl Controller {
@@ -188,13 +188,8 @@ impl Controller {
         zero_div: bool,
     ) -> Self {
         let nb = mem.banks_per_channel;
-        let groups_per_channel = nb / mem.banks_per_group;
-        let mut bank_order = Vec::with_capacity(nb);
-        for within in 0..mem.banks_per_group {
-            for g in 0..groups_per_channel {
-                bank_order.push(g * mem.banks_per_group + within);
-            }
-        }
+        let mut fronts = FrontTable::new(nb, mem.banks_per_group);
+        fronts.set_floors(&channel);
         Self {
             id,
             channel,
@@ -233,23 +228,31 @@ impl Controller {
             groups: GroupTracker::default(),
             stats: CtrlStats::default(),
             bank_rotate: 0,
-            bank_order,
+            fronts,
             depth_hist: None,
             merb_occ_hist: None,
-            ready_cache: vec![0; nb],
-            ready_epoch: vec![0; nb],
-            chan_epoch: 1,
             issue_floor: 0,
             view_gen: 0,
             settled_gen: u64::MAX,
+            #[cfg(test)]
+            reference_scan: false,
         }
     }
 
-    /// The channel's timing state changed: every cached front-command
-    /// ready-cycle, and the issue floor derived from them, is stale.
+    /// The channel's timing state changed: re-derive the channel-wide
+    /// floors, and void the issue floor derived from them.
     #[inline]
     fn touch_channel(&mut self) {
-        self.chan_epoch += 1;
+        self.fronts.set_floors(&self.channel);
+        self.issue_floor = 0;
+    }
+
+    /// Bank `b`'s queue front changed or a command issued to it: re-derive
+    /// its table entry, and void the issue floor.
+    #[inline]
+    fn touch_front(&mut self, b: usize) {
+        let front = self.cmd_q[b].front().map(|e| &e.cmd);
+        self.fronts.set_front(b, front, &self.channel);
         self.issue_floor = 0;
     }
 
@@ -313,13 +316,9 @@ impl Controller {
         if !self.fast_q.is_empty() {
             upd(self.channel.fast_read_ready().max(now));
         }
-        for q in &self.cmd_q {
-            if let Some(e) = q.front() {
-                let r = self.channel.ready_cycle(&e.cmd);
-                if r != Cycle::MAX {
-                    upd(r.max(now));
-                }
-            }
+        let (_, front_ready) = self.fronts.scan(now);
+        if front_ready != Cycle::MAX {
+            upd(front_ready.max(now));
         }
         if self.refresh_enabled && !self.refresh_pending {
             upd(self.channel.next_refresh().max(now));
@@ -469,6 +468,7 @@ impl Controller {
                 if self.channel.can_pre(bank, now) {
                     self.channel.issue_pre(bank, now);
                     self.touch_channel();
+                    self.touch_front(b);
                     self.banks[b].last_scheduled_row = None;
                     self.banks[b].hits_since_row_open = 0;
                     self.touch_view();
@@ -652,11 +652,7 @@ impl Controller {
     /// Expand one request into commands in its bank's queue.
     fn enqueue_transaction(&mut self, req: MemRequest) {
         let b = req.decoded.bank.0 as usize;
-        // If the bank's queue was empty, the pushes below install a new
-        // front command; drop its cached ready-cycle (0 never matches
-        // `chan_epoch`, which starts at 1) and the issue floor.
-        self.ready_epoch[b] = 0;
-        self.issue_floor = 0;
+        let new_front = self.cmd_q[b].is_empty();
         if let Some(h) = self.depth_hist.as_deref_mut() {
             h.add(self.cmd_q[b].len() as u64);
         }
@@ -720,6 +716,9 @@ impl Controller {
             self.banks[b].hits_since_row_open = 0;
         }
         self.sync_queue(b);
+        if new_front {
+            self.touch_front(b);
+        }
     }
 
     fn issue_command(&mut self, now: Cycle) {
@@ -733,9 +732,17 @@ impl Controller {
                 return;
             }
         }
+        #[cfg(test)]
+        if self.reference_scan {
+            match self.reference_pick(now) {
+                Ok(p) => self.issue_at(p, now),
+                Err(floor) => self.issue_floor = floor,
+            }
+            return;
+        }
         // The issue floor: a scan that issued nothing changed nothing, and
-        // until the channel or a queue changes, no front becomes legal
-        // before the earliest ready cycle that scan saw.
+        // until the channel or a queue front changes, no front becomes
+        // legal before the earliest ready cycle that scan saw.
         if now < self.issue_floor {
             debug_assert!(
                 self.cmd_q.iter().all(|q| q
@@ -746,22 +753,71 @@ impl Controller {
             );
             return;
         }
-        // Regular path: scan banks group-interleaved, rotating start. Two
-        // passes when not draining: writes at a bank head would otherwise
-        // starve reads through the tWTR turnaround (a write is always
-        // bus-legal, a read after write-data is not), so read-mode issues a
-        // write column command only when no other command can go.
+        // Round-robin over the banks, group-interleaved, from a rotating
+        // start. Reads first when not draining: writes at a bank head would
+        // otherwise starve reads through the tWTR turnaround (a write is
+        // always bus-legal, a read after write-data is not), so read-mode
+        // issues a write column command only when no other command can go.
+        let (ready, floor) = self.fronts.scan(now);
+        let pick = if ready == 0 {
+            Err(floor)
+        } else {
+            let first = if self.read_cmds_pending > 0 {
+                ready & !self.fronts.writes
+            } else {
+                ready
+            };
+            Ok(first_from(
+                if first != 0 { first } else { ready },
+                self.bank_rotate,
+            ))
+        };
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            pick,
+            self.reference_pick(now),
+            "bank-front table disagrees with the reference scan at {now}"
+        );
+        match pick {
+            Ok(p) => self.issue_at(p, now),
+            Err(floor) => self.issue_floor = floor,
+        }
+    }
+
+    /// Issue the front command of the bank at rotation position `p` and
+    /// start the next pick after it.
+    fn issue_at(&mut self, p: usize, now: Cycle) {
+        let b = self.fronts.bank_at(p);
+        let entry = self.cmd_q[b].pop_front().expect("picked an empty queue");
+        debug_assert!(self.channel.can_issue(&entry.cmd, now));
+        let done = self.channel.issue(&entry.cmd, now);
+        self.touch_channel();
+        self.touch_front(b);
+        if matches!(entry.cmd, Command::Read { .. }) {
+            self.read_cmds_pending -= 1;
+        }
+        self.banks[b].queue_score -= entry.score;
+        self.sync_queue(b);
+        if let Some(req) = entry.req {
+            self.finish_request(&req, done.expect("column command returns data end"));
+        }
+        self.bank_rotate = if p + 1 == self.num_banks { 0 } else { p + 1 };
+    }
+
+    /// The reference command pick: two round-robin passes over the bank
+    /// fronts from `bank_rotate`, re-deriving each front's
+    /// [`Channel::ready_cycle`]; the first skips write fronts while read
+    /// commands are queued. `Ok(position)` of the command to issue, or
+    /// `Err(floor)`, the earliest ready cycle of any front, when none can
+    /// issue at `now`.
+    #[cfg(any(test, debug_assertions))]
+    fn reference_pick(&self, now: Cycle) -> Result<usize, Cycle> {
         let n = self.num_banks;
         let mut floor = Cycle::MAX;
         for pass in 0..2 {
-            let mut j = self.bank_rotate;
-            for _ in 0..n {
-                let b = self.bank_order[j];
-                j += 1;
-                if j == n {
-                    j = 0;
-                }
-                let Some(entry) = self.cmd_q[b].front() else {
+            for k in 0..n {
+                let p = (self.bank_rotate + k) % n;
+                let Some(entry) = self.cmd_q[self.fronts.bank_at(p)].front() else {
                     continue;
                 };
                 if pass == 0
@@ -770,41 +826,17 @@ impl Controller {
                 {
                     continue;
                 }
-                // Cached legality: `ready_cycle` is the exact inverse of
-                // `can_issue`, and legality is monotone in time while the
-                // channel state is unchanged (every mutation bumps
-                // `chan_epoch`), so the comparison below is bit-exact with
-                // re-deriving the timing each cycle.
-                let ready = if self.ready_epoch[b] == self.chan_epoch {
-                    self.ready_cache[b]
-                } else {
-                    let r = self.channel.ready_cycle(&entry.cmd);
-                    self.ready_cache[b] = r;
-                    self.ready_epoch[b] = self.chan_epoch;
-                    r
-                };
+                let ready = self.channel.ready_cycle(&entry.cmd);
                 if now < ready || ready == Cycle::MAX {
                     debug_assert!(!self.channel.can_issue(&entry.cmd, now));
                     floor = floor.min(ready);
                     continue;
                 }
                 debug_assert!(self.channel.can_issue(&entry.cmd, now));
-                let entry = self.cmd_q[b].pop_front().unwrap();
-                let done = self.channel.issue(&entry.cmd, now);
-                self.touch_channel();
-                if matches!(entry.cmd, Command::Read { .. }) {
-                    self.read_cmds_pending -= 1;
-                }
-                self.banks[b].queue_score -= entry.score;
-                self.sync_queue(b);
-                if let Some(req) = entry.req {
-                    self.finish_request(&req, done.expect("column command returns data end"));
-                }
-                self.bank_rotate = j;
-                return;
+                return Ok(p);
             }
         }
-        self.issue_floor = floor;
+        Err(floor)
     }
 
     /// Book a completed (or scheduled-to-complete) request.
@@ -1311,6 +1343,78 @@ mod tests {
         assert_eq!(ctrl.next_event(0), Some(t.t_refi));
         ctrl.push_request(mk_req(&m, 1, 0x8000, ReqKind::Read, 1));
         assert_eq!(ctrl.next_event(5), Some(5), "queued work pins the horizon");
+    }
+
+    #[test]
+    fn table_picks_match_the_reference_scan() {
+        // Twin controllers fed the same seeded traffic, one picking each
+        // command from the bank-front table, the other with the reference
+        // two-pass scan over `Channel::ready_cycle` every cycle (never
+        // skipping under the issue floor): the issued commands, the
+        // rotation and the issue floor must agree every cycle, under
+        // read/write mixes, refreshes and zero-divergence fast reads.
+        let mut rng = ldsim_util::StdRng::seed_from_u64(0xf407_5eed);
+        let mut issued = 0;
+        for case in 0..18u64 {
+            let zero_div = case % 3 == 2;
+            let write_frac = [0.0, 0.25, 0.6][(case / 3 % 3) as usize];
+            let load = [0.05, 0.3][(case / 9) as usize];
+            let twin = |reference: bool| {
+                let (mut c, m) = mk_ctrl(zero_div);
+                c.reference_scan = reference;
+                c.enable_cmd_log();
+                (c, m)
+            };
+            let ((mut a, m), (mut b, _)) = (twin(false), twin(true));
+            let mut id = 0u64;
+            let mut out = Vec::new();
+            for now in 0..8_000 {
+                if rng.gen_bool(load) {
+                    for _ in 0..rng.gen_range(1..5u32) {
+                        id += 1;
+                        // A few rows per bank, so hits, misses and
+                        // conflicts all occur.
+                        let addr = (rng.gen_range(0..64u64) << 20 | rng.gen_range(0..256u64)) * 128;
+                        let kind = if rng.gen_bool(write_frac) {
+                            ReqKind::Write
+                        } else {
+                            ReqKind::Read
+                        };
+                        let r = mk_req(&m, id, addr, kind, 4);
+                        a.push_request(r);
+                        b.push_request(r);
+                    }
+                }
+                a.tick(now);
+                b.tick(now);
+                let log = a.channel.take_cmd_log();
+                assert_eq!(log, b.channel.take_cmd_log(), "case {case}, cycle {now}");
+                issued += log.len();
+                assert_eq!(a.bank_rotate, b.bank_rotate, "case {case}, cycle {now}");
+                assert_eq!(a.issue_floor, b.issue_floor, "case {case}, cycle {now}");
+                a.drain_responses(&mut out);
+                let n = out.len();
+                b.drain_responses(&mut out);
+                assert_eq!(out[..n], out[n..], "case {case}, cycle {now}");
+                for r in out.drain(..n) {
+                    if zero_div && rng.gen_bool(0.5) {
+                        a.fast_track_group(r.wg, now);
+                        b.fast_track_group(r.wg, now);
+                    }
+                }
+                out.clear();
+            }
+            assert!(a.stats.refreshes >= 2, "case {case}: no refresh");
+            assert!(
+                !zero_div || a.stats.fast_reads > 0,
+                "case {case}: no fast read"
+            );
+            assert!(
+                write_frac == 0.0 || a.stats.writes_done > 0,
+                "case {case}: no write"
+            );
+        }
+        assert!(issued > 30_000, "only {issued} commands issued");
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! only data-bus bandwidth ([`Controller::fast_track_group`]).
 
 pub mod controller;
+mod fronts;
 pub mod group;
 pub mod policies;
 pub mod policy;

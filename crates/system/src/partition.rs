@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 pub struct Partition {
     pub id: ChannelId,
     pub l2: Cache,
-    l2_mshr: Mshr<MemRequest>,
+    pub(crate) l2_mshr: Mshr<MemRequest>,
     l2_latency: Cycle,
     pub ctrl: Controller,
     mapper: AddressMapper,
@@ -34,8 +34,17 @@ pub struct Partition {
     bypass: bool,
     /// Requests arriving from the request crossbar, processed in order.
     input: VecDeque<MemRequest>,
+    /// The line of a read head that missed both the L2 and its MSHR and
+    /// then stalled. Until that line is filled into the L2 or registered or
+    /// filled in the MSHR, every re-probe misses again, so it is replayed
+    /// with [`Cache::probe_known_miss`] and the head waits only on
+    /// controller backlog and MSHR capacity (DESIGN.md §13).
+    pub(crate) stalled_head: Option<u64>,
+    /// Test-only twin switch: never arm the stalled-head memo.
+    #[cfg(test)]
+    pub(crate) always_probe: bool,
     /// L2-latency delay line toward the controller.
-    to_ctrl: VecDeque<(Cycle, MemRequest)>,
+    pub(crate) to_ctrl: VecDeque<(Cycle, MemRequest)>,
     /// SM-bound responses awaiting the response crossbar, tagged with the
     /// cycle they were staged (tags are monotone — pushes happen in cycle
     /// order). The hub drains entries tagged `<= now`, so a multi-cycle
@@ -110,6 +119,9 @@ impl Partition {
             line_shift: l2_cfg.line_bytes.trailing_zeros(),
             bypass,
             input: VecDeque::new(),
+            stalled_head: None,
+            #[cfg(test)]
+            always_probe: false,
             to_ctrl: VecDeque::new(),
             to_sm: VecDeque::new(),
             next_wb_id: 0,
@@ -314,7 +326,22 @@ impl Partition {
                     // stays inside the scheduler-visible read queue.
                     let ctrl_full = self.ctrl.read_backlog() + self.to_ctrl.len()
                         >= self.ctrl.read_capacity() + 8;
-                    if !self.bypass && self.l2.probe(req.line_addr, false) {
+                    if self.stalled_head == Some(req.line_addr) {
+                        // The stalled head again: it still misses the L2
+                        // and the MSHR, so only the allocate check is open.
+                        debug_assert!(
+                            (self.bypass || !self.l2.contains(req.line_addr))
+                                && !self.l2_mshr.in_flight(req.line_addr),
+                            "stalled-head memo outlived its miss"
+                        );
+                        if !self.bypass {
+                            self.l2.probe_known_miss(req.line_addr);
+                        }
+                        if !ctrl_full && self.l2_mshr.has_room() {
+                            self.stalled_head = None;
+                            self.allocate_head(req, now);
+                        }
+                    } else if !self.bypass && self.l2.probe(req.line_addr, false) {
                         // L2 hit: absorbed; respond to the SM.
                         self.input.pop_front();
                         self.ctrl.note_absorbed(req.wg, req.group_size_on_channel);
@@ -339,12 +366,16 @@ impl Partition {
                             }
                         }
                         let _ = self.l2_mshr.register(req.line_addr, req);
-                    } else if !ctrl_full && self.l2_mshr.can_accept(req.line_addr) {
-                        self.input.pop_front();
-                        let _ = self.l2_mshr.register(req.line_addr, req);
-                        self.to_ctrl.push_back((now + self.l2_latency, req));
+                    } else if !ctrl_full && self.l2_mshr.has_room() {
+                        self.allocate_head(req, now);
+                    } else {
+                        // MSHR or controller full: head-of-line stall.
+                        self.stalled_head = Some(req.line_addr);
+                        #[cfg(test)]
+                        if self.always_probe {
+                            self.stalled_head = None;
+                        }
                     }
-                    // else: MSHR or controller full — head-of-line stall.
                 }
                 ReqKind::Write => {
                     if self.ctrl.write_backlog() >= self.ctrl.write_capacity() + 8 {
@@ -369,9 +400,21 @@ impl Partition {
         }
     }
 
+    /// Send the read head, a miss with MSHR room, to the controller.
+    fn allocate_head(&mut self, req: MemRequest, now: Cycle) {
+        self.input.pop_front();
+        let _ = self.l2_mshr.register(req.line_addr, req);
+        self.to_ctrl.push_back((now + self.l2_latency, req));
+    }
+
     /// A DRAM read completed: fill the L2 and wake every merged waiter.
     pub fn on_ctrl_response(&mut self, resp: &MemResponse, now: Cycle) {
         debug_assert_eq!(resp.kind, ReqKind::Read);
+        if self.stalled_head == Some(resp.line_addr) {
+            // The stalled head's line lands in the L2 and leaves the MSHR:
+            // its next probe must run in full.
+            self.stalled_head = None;
+        }
         if !self.bypass {
             if let Some((victim, dirty)) = self.l2.fill(resp.line_addr, false) {
                 if dirty {

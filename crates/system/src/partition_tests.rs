@@ -5,7 +5,7 @@ use ldsim_gddr5::{Channel, MerbTable};
 use ldsim_memctrl::Controller;
 use ldsim_types::addr::AddressMapper;
 use ldsim_types::clock::ClockDomain;
-use ldsim_types::config::{GpuConfig, MemConfig, SchedulerKind};
+use ldsim_types::config::{CacheConfig, GpuConfig, MemConfig, SchedulerKind};
 use ldsim_types::ids::{ChannelId, GlobalWarpId, RequestId, WarpGroupId};
 use ldsim_types::req::{MemRequest, ReqKind};
 use ldsim_warpsched::make_policy;
@@ -200,4 +200,89 @@ fn input_backpressure_is_bounded() {
     }
     assert_eq!(accepted, Partition::INPUT_CAP, "input buffer must bound");
     assert!(!p.can_accept());
+}
+
+#[test]
+fn stalled_head_memo_matches_full_probes() {
+    // Twin partitions fed the same seeded traffic, one with the
+    // stalled-head memo and one that probes the L2 and the MSHR in full
+    // every cycle: a tiny L2 slice and MSHR and a congested controller
+    // make heads stall often. The L2 (tags, LRU clock, stats), the MSHR,
+    // the controller-bound delay line and the SM-bound responses must
+    // agree every cycle.
+    let mem = MemConfig::default();
+    let t = mem.timing.in_cycles(ClockDomain::GDDR5);
+    let merb = MerbTable::from_timing(&mem.timing, ClockDomain::GDDR5, mem.banks_per_channel);
+    let mapper = AddressMapper::new(&mem, 128);
+    let ch = ChannelId(0);
+    let mut rng = ldsim_util::StdRng::seed_from_u64(0x12a7_5eed);
+    let mut memo_hits = 0u64;
+    for case in 0..12u64 {
+        let bypass = case % 4 == 3;
+        let l2 = CacheConfig {
+            size_bytes: 4 * 4 * 128,
+            line_bytes: 128,
+            ways: 4,
+            // A small MSHR stalls heads on capacity, a large one lets the
+            // controller back up and stall them on `ctrl_full`.
+            mshr_entries: if case % 2 == 0 {
+                rng.gen_range(1..6usize)
+            } else {
+                rng.gen_range(80..120usize)
+            },
+            latency: rng.gen_range(1..30u64),
+        };
+        let twin = |always_probe: bool| {
+            let ctrl = Controller::new(
+                ch,
+                &mem,
+                Channel::new(&mem, t),
+                make_policy(SchedulerKind::Gmc, &mem),
+                merb.clone(),
+                false,
+            );
+            let mut p = Partition::new(ch, &l2, &mem, ctrl, bypass);
+            p.always_probe = always_probe;
+            p
+        };
+        let (mut a, mut b) = (twin(false), twin(true));
+        let lines: Vec<u64> = (0..rng.gen_range(8..240u64))
+            .map(|i| addr_on_channel(&mapper, ch, 1 + i * 7919))
+            .collect();
+        let load = [0.2, 0.6, 1.0][(case % 3) as usize];
+        let mut resps = Vec::new();
+        for now in 0..6_000 {
+            memo_hits += u64::from(a.stalled_head.is_some());
+            for p in [&mut a, &mut b] {
+                p.ctrl.tick(now);
+                p.ctrl.drain_responses(&mut resps);
+                for r in resps.drain(..) {
+                    p.on_ctrl_response(&r, now);
+                }
+                p.tick(now);
+            }
+            assert_eq!(a.can_accept(), b.can_accept(), "case {case}, cycle {now}");
+            if a.can_accept() && rng.gen_bool(load) {
+                let addr = lines[rng.gen_range(0..lines.len())];
+                let mut r = read_req(&mapper, addr, now, 1);
+                if rng.gen_bool(0.1) {
+                    r.kind = ReqKind::Write;
+                }
+                a.accept(r);
+                b.accept(r);
+            }
+            let at = format!("case {case}, cycle {now}");
+            assert_eq!(format!("{:?}", a.l2), format!("{:?}", b.l2), "{at}");
+            assert_eq!(a.l2_mshr.len(), b.l2_mshr.len(), "{at}");
+            for &addr in &lines {
+                let line = mapper.line_addr(addr);
+                assert_eq!(a.l2_mshr.waiters(line), b.l2_mshr.waiters(line), "{at}");
+            }
+            assert!(a.to_ctrl == b.to_ctrl, "{at}");
+            assert_eq!(format!("{:?}", a.to_sm), format!("{:?}", b.to_sm), "{at}");
+            a.to_sm.clear();
+            b.to_sm.clear();
+        }
+    }
+    assert!(memo_hits > 10_000, "only {memo_hits} memo hits");
 }

@@ -101,6 +101,11 @@ impl Simulator {
     /// would deliver inside the window that granted it, and a zero-latency
     /// coordination hop would land in the cycle it was sent, which every
     /// window (W = 1 included) defers to the next cycle (DESIGN.md §18).
+    ///
+    /// If `cfg.gpu.l1.mshr_entries` is below the 32-lane warp width: a load
+    /// coalesces to up to one line per lane and issues only when the L1
+    /// MSHR can take all of its new lines at once, so a wider gather could
+    /// never issue and its warp would spin to `max_cycles`.
     pub fn new(mut cfg: SimConfig, kernel: &KernelProgram) -> Self {
         assert!(
             cfg.gpu.xbar_latency >= 1,
@@ -109,6 +114,12 @@ impl Simulator {
         assert!(
             cfg.mem.coord_latency >= 1,
             "coord_latency must be at least 1 cycle: the epoch loop needs coordination lookahead"
+        );
+        assert!(
+            cfg.gpu.l1.mshr_entries >= 32,
+            "l1.mshr_entries must be at least the 32-lane warp width: a load may need one \
+             entry per lane, got {}",
+            cfg.gpu.l1.mshr_entries
         );
         cfg.gpu.num_sms = kernel.programs.len();
         let mapper = AddressMapper::new(&cfg.mem, cfg.gpu.l1.line_bytes);
@@ -1127,6 +1138,27 @@ mod tests {
     fn zero_xbar_latency_is_rejected() {
         let mut cfg = SimConfig::default();
         cfg.gpu.xbar_latency = 0;
+        Simulator::new(cfg, &tiny_kernel(1, 1));
+    }
+
+    #[test]
+    fn machines_beyond_sixteen_channels_run() {
+        // The timing grammar accepts up to 256 channels; loads spread over
+        // more than 16 of them must still issue.
+        let (mem, clock) = ldsim_types::config::parse_timing_string("nch=32").unwrap();
+        let mut cfg = SimConfig::default();
+        cfg.mem.num_channels = mem.num_channels;
+        cfg.clock = clock;
+        let kernel = ldsim_workloads::benchmark("bfs", ldsim_workloads::Scale::Tiny, 1).generate();
+        let r = Simulator::new(cfg, &kernel).run();
+        assert!(r.finished && r.conserves_requests());
+    }
+
+    #[test]
+    #[should_panic(expected = "l1.mshr_entries must be at least the 32-lane warp width")]
+    fn l1_mshr_below_warp_width_is_rejected() {
+        let mut cfg = SimConfig::default();
+        cfg.gpu.l1.mshr_entries = 31;
         Simulator::new(cfg, &tiny_kernel(1, 1));
     }
 

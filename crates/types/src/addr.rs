@@ -40,7 +40,7 @@
 //! (channel, bank, row, col)); a timing model only needs the forward map to
 //! be consistent and well distributed, which the tests below check.
 
-use crate::config::MemConfig;
+use crate::config::{MemConfig, MAX_BANKS, MAX_CHANNELS};
 use crate::ids::{BankId, ChannelId};
 
 /// Channel-interleave granularity (fixed across presets, per the paper).
@@ -253,6 +253,13 @@ impl AddressMapper {
         }
         if line > blk {
             return Err(format!("addr spec: line={line} exceeds blk={blk}"));
+        }
+        // Bank and channel ids are bytes: larger counts would alias.
+        if nbk > MAX_BANKS as u64 {
+            return Err(format!("addr spec: nbk={nbk} exceeds {MAX_BANKS}"));
+        }
+        if nch > MAX_CHANNELS as u64 {
+            return Err(format!("addr spec: nch={nch} exceeds {MAX_CHANNELS}"));
         }
         if rowbits == 0 || rowbits > 31 {
             return Err(format!("addr spec: rowbits={rowbits} out of range"));
@@ -502,9 +509,18 @@ mod tests {
             "line=96:blk=256:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13",           // not pow2
             "line=128:blk=512:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13",          // blk fixed
             "line=128:blk=256:nch=0:nbk=16:grp=4:rowblks=8:rowbits=13",          // zero
+            "line=128:blk=256:nch=6:nbk=512:grp=4:rowblks=8:rowbits=13",         // > 64 banks
+            "line=128:blk=256:nch=300:nbk=16:grp=4:rowblks=8:rowbits=13",        // > 256 ch
         ] {
             assert!(AddressMapper::from_spec(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn spec_accepts_the_largest_geometry() {
+        let spec = "line=128:blk=256:nch=256:nbk=64:grp=4:rowblks=8:rowbits=13";
+        let m = AddressMapper::from_spec(spec).unwrap();
+        assert_eq!(m.spec(), spec);
     }
 
     #[test]

@@ -524,6 +524,13 @@ impl SimConfig {
 // Config-driven hardware front end: the timing/topology string grammar and
 // the backend presets built on it.
 
+/// Most banks per channel: a controller keeps one bit per bank in its
+/// 64-bit ready masks.
+pub const MAX_BANKS: usize = 64;
+
+/// Most channels: channel ids are bytes.
+pub const MAX_CHANNELS: usize = 256;
+
 /// Canonical key order of the timing/topology string. Topology first, then
 /// the clock, then nanosecond-valued timings, then command-clock-valued
 /// timings — the same order [`render_timing_string`] emits and DESIGN.md §16
@@ -579,8 +586,9 @@ pub fn render_timing_string(mem: &MemConfig, clock: ClockDomain) -> String {
 /// what differs. Returns the device-level description: the [`MemConfig`]
 /// with its queue/scheduler knobs at defaults, plus the command-clock
 /// domain. Rejects unknown keys, duplicate keys, malformed values, and
-/// geometries the address mapper cannot serve (non-power-of-two banks or
-/// row blocks).
+/// geometries the address mapper or a controller cannot serve
+/// (non-power-of-two banks or row blocks, more than [`MAX_BANKS`] banks or
+/// [`MAX_CHANNELS`] channels).
 pub fn parse_timing_string(s: &str) -> Result<(MemConfig, ClockDomain), String> {
     let mut mem = MemConfig::default();
     let mut clock = ClockDomain::GDDR5;
@@ -648,6 +656,20 @@ pub fn parse_timing_string(s: &str) -> Result<(MemConfig, ClockDomain), String> 
         return Err(format!(
             "timing string: nbk={} is not a power of two",
             mem.banks_per_channel
+        ));
+    }
+    // A controller keeps one bit per bank in its ready masks, and bank and
+    // channel ids are bytes.
+    if mem.banks_per_channel > MAX_BANKS {
+        return Err(format!(
+            "timing string: nbk={} exceeds {MAX_BANKS}",
+            mem.banks_per_channel
+        ));
+    }
+    if mem.num_channels > MAX_CHANNELS {
+        return Err(format!(
+            "timing string: nch={} exceeds {MAX_CHANNELS}",
+            mem.num_channels
         ));
     }
     if mem.banks_per_channel % mem.banks_per_group != 0 {
@@ -776,7 +798,7 @@ impl Preset {
 /// geometry checks as well as the tokenizer.
 #[cfg(test)]
 pub(crate) fn mutate_key_values(s: &str, keys: &[&str], rng: &mut ldsim_util::StdRng) -> String {
-    const VALUES: [&str; 24] = [
+    const VALUES: [&str; 29] = [
         "0",
         "-0",
         "1",
@@ -787,9 +809,14 @@ pub(crate) fn mutate_key_values(s: &str, keys: &[&str], rng: &mut ldsim_util::St
         "12",
         "31",
         "32",
+        "64",
         "96",
+        "128",
         "256",
+        "257",
+        "300",
         "384",
+        "512",
         "0.5",
         "1e3",
         "1e400",
@@ -1046,6 +1073,10 @@ mod tests {
             "nbk=12",          // not a power of two
             "nbk=16:nbkgrp=3", // groups must divide banks
             "row=384",         // not a power-of-two multiple of 256
+            "nbk=128",         // more banks than a controller's masks hold
+            "nbk=512",         // ... which bank ids alias as bytes
+            "nch=257",         // more channels than a byte names
+            "nch=300",
         ] {
             assert!(parse_timing_string(bad).is_err(), "accepted: {bad}");
         }
@@ -1084,6 +1115,12 @@ mod tests {
             accepted > 2_000 && rejected > 2_000,
             "{accepted} accepted, {rejected} rejected"
         );
+    }
+
+    #[test]
+    fn timing_string_accepts_the_largest_geometry() {
+        let (mem, _) = parse_timing_string("nch=256:nbk=64:nbkgrp=4").unwrap();
+        assert_eq!((mem.num_channels, mem.banks_per_channel), (256, 64));
     }
 
     #[test]
