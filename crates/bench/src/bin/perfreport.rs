@@ -3,46 +3,58 @@
 //! Times full simulator runs (kernel generation excluded) of the busy —
 //! i.e. not idle-dominated — irregular benchmarks under WG-W, the scheme
 //! that exercises every pick path (bank-aware SJF scoring, the MERB gate,
-//! the unit-group write pre-drain and the drain bypass), in two modes:
+//! the unit-group write pre-drain and the drain bypass), serially and on
+//! the intra-run partition pool (`sim_threads = 2`, DESIGN.md §17):
+//! `thread_speedup` > 1 means the pool wins on this host. The pool is
+//! bit-exact with serial, so the rep-determinism assertion doubles as a
+//! cross-thread-count determinism check. On single-core hosts the threaded
+//! rows measure pure barrier overhead; the report records `host_threads`
+//! and the measuring `commit` so a reader can tell which regime and which
+//! build produced it.
 //!
-//! * **indexed** — the default incremental-index pick paths plus the
-//!   controller's bank-front ready table (DESIGN.md §13);
-//! * **reference** — the original scan-based picks, kept behind
-//!   `SimConfig::with_reference_picks(true)` for differential testing.
-//!
-//! Each row also times the intra-run partition pool (`sim_threads = 2`,
-//! DESIGN.md §17) against a serial run of the same epoch loop on the
-//! indexed build — `thread_speedup` > 1 means the pool wins on this host.
-//! The pool is bit-exact with serial, so the rep-determinism assertion
-//! doubles as a cross-thread-count determinism check. On single-core hosts
-//! the threaded rows measure pure barrier overhead; the report records
-//! `host_threads` and the measuring `commit` so a reader can tell which
-//! regime and which build produced it.
-//!
-//! Both modes run on the *current* build, so their ratio isolates the
-//! pick-path indexing alone.
-//!
-//! Each benchmark runs one untimed warm-up per mode, then `reps` timed
-//! runs; the reported figure is the median, so one scheduling-noise
+//! Each benchmark runs one untimed warm-up per thread count, then `reps`
+//! timed runs; the reported figure is the median, so one scheduling-noise
 //! outlier cannot skew a row. Results go to `BENCH_perf.json` in the
 //! working directory (single JSON document, not JSON lines — this file is
 //! the perf trajectory artifact CI archives, not figure provenance).
 
-use ldsim_bench::cli;
+use ldsim_system::runner::BUSY;
 use ldsim_system::table::Table;
 use ldsim_system::Simulator;
 use ldsim_types::config::{SchedulerKind, SimConfig};
 use ldsim_types::kernel::KernelProgram;
 use ldsim_util::json::JsonObject;
+use ldsim_util::{cli_fail, cli_parse, cli_value};
 use ldsim_workloads::{benchmark, Scale};
 use std::io::Write;
 use std::process::{Command, Stdio};
 use std::time::Instant;
 
-/// Busy benchmarks: every irregular workload whose run is dominated by
-/// in-flight memory traffic rather than idle-cycle fast-forwarding (nw is
-/// excluded — it finishes in milliseconds and times pure noise).
-const BUSY: &[&str] = &["sp", "kmeans", "spmv", "sssp", "bfs"];
+/// Parse `[tiny|small|full] [--seed N]` (default `small`, seed 1). The
+/// report builds every configuration itself, so the shared harness's run
+/// options, worker and thread counts would do nothing here: they fail as
+/// unknown arguments (a named error, exit 2) rather than being ignored.
+fn args() -> (Scale, u64) {
+    const USAGE: &str = "perfreport [tiny|small|full] [--seed N]";
+    let (mut scale, mut seed) = (Scale::Small, 1);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--seed" => {
+                let v = cli_value(&args, i, "--seed", USAGE);
+                seed = cli_parse(v, "--seed", "a number", USAGE);
+                i += 1;
+            }
+            other => match Scale::parse(other) {
+                Some(s) => scale = s,
+                None => cli_fail(USAGE, &format!("unknown argument '{other}'")),
+            },
+        }
+        i += 1;
+    }
+    (scale, seed)
+}
 
 /// Thread count for the timed threaded rows: 2 keeps the pool meaningful
 /// on small CI hosts without oversubscribing them (the simulator caps at
@@ -106,13 +118,12 @@ fn commit() -> String {
         .unwrap_or_else(|| "unknown (not a git checkout)".into())
 }
 
-/// Median of `reps` timed runs of one (kernel, mode, thread count), after
-/// one warm-up. `cycles_pin`, when given, asserts every rep simulates the
+/// Median of `reps` timed runs of one (kernel, thread count), after one
+/// warm-up. `cycles_pin`, when given, asserts every rep simulates the
 /// exact same work — across reps *and* across thread counts.
 fn time_runs(
     kernel: &KernelProgram,
     kind: SchedulerKind,
-    reference: bool,
     sim_threads: usize,
     reps: usize,
     cycles_pin: Option<u64>,
@@ -120,7 +131,6 @@ fn time_runs(
     let make_cfg = || {
         let mut cfg = SimConfig::default()
             .with_scheduler(kind)
-            .with_reference_picks(reference)
             .with_sim_threads(sim_threads);
         cfg.instruction_limit = Some(kernel.total_instructions() * 7 / 10);
         cfg
@@ -148,7 +158,7 @@ fn time_runs(
 }
 
 fn main() {
-    let (scale, seed) = cli();
+    let (scale, seed) = args();
     let kind = SchedulerKind::WgW;
     // Tiny runs are short enough that more reps cost nothing and steady the
     // median; Small reps are ~0.1 s each, so keep CI wall-clock bounded.
@@ -156,9 +166,7 @@ fn main() {
 
     let mut t = Table::new(&[
         "benchmark",
-        "indexed s/rep",
-        "reference s/rep",
-        "pick speedup",
+        "serial s/rep",
         "threaded s/rep",
         "thread speedup",
     ]);
@@ -174,17 +182,12 @@ fn main() {
     let mut rows = Vec::new();
     for &bench in BUSY {
         let kernel = benchmark(bench, scale, seed).generate();
-        let (indexed_s, cycles) = time_runs(&kernel, kind, false, 1, reps, None);
-        let (reference_s, _) = time_runs(&kernel, kind, true, 1, reps, None);
-        let (threaded_s, _) =
-            time_runs(&kernel, kind, false, TIMED_SIM_THREADS, reps, Some(cycles));
-        let pick_speedup = reference_s / indexed_s;
-        let thread_speedup = indexed_s / threaded_s;
+        let (serial_s, cycles) = time_runs(&kernel, kind, 1, reps, None);
+        let (threaded_s, _) = time_runs(&kernel, kind, TIMED_SIM_THREADS, reps, Some(cycles));
+        let thread_speedup = serial_s / threaded_s;
         t.row(vec![
             bench.to_string(),
-            format!("{indexed_s:.4}"),
-            format!("{reference_s:.4}"),
-            format!("{pick_speedup:.2}x"),
+            format!("{serial_s:.4}"),
             format!("{threaded_s:.4}"),
             format!("{thread_speedup:.2}x"),
         ]);
@@ -205,9 +208,7 @@ fn main() {
         ]);
         let mut row = JsonObject::new();
         row.str("benchmark", bench)
-            .f64("indexed_s", indexed_s)
-            .f64("reference_s", reference_s)
-            .f64("pick_speedup", pick_speedup)
+            .f64("serial_s", serial_s)
             .u64("sim_threads", TIMED_SIM_THREADS as u64)
             .f64("threaded_s", threaded_s)
             .f64("thread_speedup", thread_speedup)
@@ -219,12 +220,11 @@ fn main() {
         rows.push(row.build());
     }
 
-    println!("perfreport — busy-benchmark wall clock, indexed vs reference picks ({kind:?})\n");
+    println!("perfreport — busy-benchmark wall clock, serial vs threaded ({kind:?})\n");
     t.print();
     println!(
-        "\npick speedup = reference/indexed on this build; thread speedup = \
-         serial / {TIMED_SIM_THREADS}-thread partition pool (host has {host_threads} \
-         core(s))."
+        "\nthread speedup = serial / {TIMED_SIM_THREADS}-thread partition pool \
+         (host has {host_threads} core(s))."
     );
 
     println!("\nepoch barrier amortization — {TIMED_SIM_THREADS}-thread pool, auto window vs W=1 cadence\n");

@@ -9,9 +9,9 @@
 //! provenance. When histograms are armed (`repro --hist`, `histreport`),
 //! the full bucket arrays go to a companion `results/<figure>.hist.jsonl`.
 //!
-//! `histreport` and `perfreport` share the command line of [`cli`]
-//! (default scale `small`; `--jobs N` workers across cells, `--threads N`
-//! partition threads inside each run).
+//! `histreport` parses the shared command line of [`cli`] (default scale
+//! `small`; `--jobs N` workers across cells, `--threads N` partition
+//! threads inside each run).
 
 pub mod figures;
 pub mod validate;

@@ -2,10 +2,10 @@
 //!
 //! Bad input — a flag missing its value, a non-numeric number, an unknown
 //! flag — must produce a *named* one-line error on stderr plus the usage
-//! text and a nonzero exit, in the `repro` orchestrator, `trace`, `opsweep`
-//! and the shared-harness binaries (exercised through `perfreport`, which
-//! parses argv before doing any work). A raw `expect` backtrace, or a silently
-//! accepted typo, fails this suite.
+//! text and a nonzero exit, in the `repro` orchestrator, `trace`, `opsweep`,
+//! the shared harness (exercised through `histreport`, which parses argv
+//! before doing any work) and `perfreport`. A raw `expect` backtrace, or a
+//! silently accepted typo, fails this suite.
 
 use std::process::{Command, Output};
 
@@ -90,7 +90,7 @@ fn repro_names_a_corrupt_cell_cache_meta_file() {
 
 #[test]
 fn shared_harness_rejects_bad_arguments_with_named_errors() {
-    let bin = env!("CARGO_BIN_EXE_perfreport");
+    let bin = env!("CARGO_BIN_EXE_histreport");
     assert_cli_error(bin, &["--seed"], "--seed");
     assert_cli_error(bin, &["--seed", "eleven"], "--seed");
     assert_cli_error(bin, &["--jobs", "-2"], "--jobs");
@@ -99,6 +99,20 @@ fn shared_harness_rejects_bad_arguments_with_named_errors() {
     assert_cli_error(bin, &["smol"], "smol");
     // `--hist` belongs to `repro`; histreport arms histograms by itself.
     assert_cli_error(bin, &["--hist"], "--hist");
+}
+
+/// `perfreport` builds every configuration itself, so the shared harness's
+/// run-option, worker and thread flags would do nothing there: each is an
+/// unknown argument, not a silently ignored one.
+#[test]
+fn perfreport_takes_only_scale_and_seed() {
+    let bin = env!("CARGO_BIN_EXE_perfreport");
+    assert_cli_error(bin, &["tiny", "--audit"], "--audit");
+    assert_cli_error(bin, &["tiny", "--trace"], "--trace");
+    assert_cli_error(bin, &["tiny", "--jobs", "7"], "--jobs");
+    assert_cli_error(bin, &["tiny", "--threads", "5"], "--threads");
+    assert_cli_error(bin, &["--seed", "eleven"], "--seed");
+    assert_cli_error(bin, &["smol"], "smol");
 }
 
 #[test]

@@ -162,10 +162,11 @@ pub struct WarpGroupPolicy {
     unit_by_seq: BTreeSet<u64>,
     /// Per bank: row → pending-request tally (the MERB gate's index).
     row_tally: Vec<FnvHashMap<u32, RowTally>>,
-    /// Route picks through the original scan-based implementations instead
-    /// of the indexes — the differential-testing escape hatch. The indexes
-    /// are still maintained; they are just not consulted.
-    reference_picks: bool,
+    /// Test-only twin switch: pick through the original scan-based paths
+    /// instead of the indexes, which are still maintained but not
+    /// consulted (`indexed_picks_match_reference_scans_under_random_ops`).
+    #[cfg(test)]
+    reference: bool,
     /// Stats: MERB substitutions performed (row-hits inserted before a
     /// gated row-miss).
     pub merb_substitutions: u64,
@@ -226,8 +227,8 @@ fn best_request(reqs: &[MemRequest], view: &PolicyView<'_>) -> Option<usize> {
 }
 
 /// Is the group fully arrived? The indexed route reads the sticky bit and
-/// asks the tracker only until it says yes; the reference route always asks
-/// the tracker.
+/// asks the tracker only until it says yes; the test twin's reference route
+/// always asks the tracker.
 fn is_complete(e: &mut GroupEntry, view: &PolicyView<'_>, reference: bool) -> bool {
     if reference {
         return view.groups.is_complete(e.wg);
@@ -277,19 +278,14 @@ impl WarpGroupPolicy {
             shared_promotions: 0,
             unit_by_seq: BTreeSet::new(),
             row_tally: vec![FnvHashMap::default(); num_banks],
-            reference_picks: false,
+            #[cfg(test)]
+            reference: false,
             settled: None,
         }
     }
 
     pub fn flags(&self) -> WgFlags {
         self.flags
-    }
-
-    /// Route picks through the original scan-based paths (differential
-    /// testing only — see DESIGN.md §13).
-    pub fn set_reference_picks(&mut self, on: bool) {
-        self.reference_picks = on;
     }
 
     /// Internal invariant check (tests): the seq-ordered store and its
@@ -424,8 +420,12 @@ impl WarpGroupPolicy {
         // Ordering: lowest score; ties -> shared groups (WG-S), then
         // remotely-started groups, then most row hits, then oldest.
         let mut best: Option<(GroupScore, bool, bool, u64)> = None;
+        #[cfg(test)]
+        let reference = self.reference;
+        #[cfg(not(test))]
+        let reference = false;
         for (&seq, e) in self.groups.iter_mut() {
-            if !is_complete(e, view, self.reference_picks) {
+            if !is_complete(e, view, reference) {
                 continue;
             }
             let (s, capped) =
@@ -479,12 +479,7 @@ impl WarpGroupPolicy {
         if self.flags.merb {
             let d = entry.reqs[idx].decoded;
             if !view.is_hit(&d) {
-                let gate = if self.reference_picks {
-                    self.merb_gate_reference(d.bank.0 as usize, view)
-                } else {
-                    self.merb_gate(d.bank.0 as usize, view)
-                };
-                if let Some((oseq, oidx)) = gate {
+                if let Some((oseq, oidx)) = self.merb_gate(d.bank.0 as usize, view) {
                     self.merb_substitutions += 1;
                     return Some(self.take_req(oseq, oidx));
                 }
@@ -505,6 +500,10 @@ impl WarpGroupPolicy {
     /// the *first* matching index, the same within-group order the reference
     /// scan produces.
     fn merb_gate(&self, bank: usize, view: &PolicyView<'_>) -> Option<(u64, usize)> {
+        #[cfg(test)]
+        if self.reference {
+            return self.merb_gate_reference(bank, view);
+        }
         let snap = &view.banks[bank];
         let open_row = snap.last_scheduled_row?;
         let t = self.row_tally[bank].get(&open_row)?;
@@ -529,9 +528,8 @@ impl WarpGroupPolicy {
         None
     }
 
-    /// Original scan-based MERB gate (kept for `reference_picks`
-    /// differential testing; must stay behaviourally identical to
-    /// [`Self::merb_gate`]).
+    /// Original scan-based MERB gate, the test twin of [`Self::merb_gate`].
+    #[cfg(test)]
     fn merb_gate_reference(&self, bank: usize, view: &PolicyView<'_>) -> Option<(u64, usize)> {
         let snap = &view.banks[bank];
         let open_row = snap.last_scheduled_row?;
@@ -581,6 +579,10 @@ impl WarpGroupPolicy {
     /// Without `room` (no pending request has any) nothing can win, so
     /// only the caps are counted, and only if some live group holds one.
     fn pick_bypass(&mut self, view: &PolicyView<'_>, room: bool) -> Option<MemRequest> {
+        #[cfg(test)]
+        if self.reference {
+            return self.pick_bypass_reference(view);
+        }
         if !room && self.live_caps == 0 {
             return None;
         }
@@ -611,9 +613,9 @@ impl WarpGroupPolicy {
         best.map(|(_, seq, idx)| self.take_req(seq, idx))
     }
 
-    /// Original allocating scan-and-sort bypass (kept for `reference_picks`
-    /// differential testing; must stay behaviourally identical to
-    /// [`Self::pick_bypass`]).
+    /// Original allocating scan-and-sort bypass, the test twin of
+    /// [`Self::pick_bypass`].
+    #[cfg(test)]
     fn pick_bypass_reference(&mut self, view: &PolicyView<'_>) -> Option<MemRequest> {
         let active = self.active;
         // The store iterates in seq order, so `seqs` is already seq-sorted.
@@ -666,6 +668,10 @@ impl WarpGroupPolicy {
     /// ascending and stopping at the first pass equals the reference's
     /// min-over-all).
     fn pick_unit_group(&mut self, view: &PolicyView<'_>) -> Option<MemRequest> {
+        #[cfg(test)]
+        if self.reference {
+            return self.pick_unit_group_reference(view);
+        }
         let mut found: Option<u64> = None;
         for &seq in &self.unit_by_seq {
             let e = self.groups.get_mut(&seq).expect("unit group is live");
@@ -680,9 +686,9 @@ impl WarpGroupPolicy {
         Some(self.take_req(seq, 0))
     }
 
-    /// Original scan-based unit-group pick (kept for `reference_picks`
-    /// differential testing; must stay behaviourally identical to
-    /// [`Self::pick_unit_group`]).
+    /// Original scan-based unit-group pick, the test twin of
+    /// [`Self::pick_unit_group`].
+    #[cfg(test)]
     fn pick_unit_group_reference(&mut self, view: &PolicyView<'_>) -> Option<MemRequest> {
         let mut best: Option<u64> = None;
         for (&seq, e) in &self.groups {
@@ -711,23 +717,21 @@ impl WarpGroupPolicy {
         // one that can exceed the threshold first — one lookup replaces
         // the filtered min-scan.
         let old = |e: &GroupEntry| view.now.saturating_sub(e.first_arrival) > self.age_threshold;
+        let aged = self.groups.first_key_value().filter(|(_, e)| old(e));
+        let aged = aged.map(|(s, _)| *s);
         // `room`: can any pending request be scheduled? If not, every path
         // below returns nothing, so the searches are skipped and only their
         // side effects remain: the aged group becomes active, a missing
         // active group is selected (counters and coordination broadcast),
-        // and the bypass counts its capped candidates. The reference always
-        // searches.
-        let (aged, room) = if self.reference_picks {
-            let aged = self
-                .groups
-                .iter()
-                .filter(|(_, e)| old(e))
-                .map(|(s, _)| *s)
-                .min();
-            (aged, true)
+        // and the bypass counts its capped candidates.
+        let room = self.any_schedulable(view);
+        // The test twin min-scans every group and always searches.
+        #[cfg(test)]
+        let (aged, room) = if self.reference {
+            let scan = self.groups.iter().filter(|(_, e)| old(e));
+            (scan.map(|(s, _)| *s).min(), true)
         } else {
-            let aged = self.groups.first_key_value().filter(|(_, e)| old(e));
-            (aged.map(|(s, _)| *s), self.any_schedulable(view))
+            (aged, room)
         };
         if let Some(seq) = aged {
             self.active = Some(seq);
@@ -739,12 +743,7 @@ impl WarpGroupPolicy {
         }
         // WG-W pre-drain hook.
         if room && self.flags.write_aware && view.drain_imminent() {
-            let r = if self.reference_picks {
-                self.pick_unit_group_reference(view)
-            } else {
-                self.pick_unit_group(view)
-            };
-            if let Some(r) = r {
+            if let Some(r) = self.pick_unit_group(view) {
                 return Some(r);
             }
         }
@@ -769,11 +768,7 @@ impl WarpGroupPolicy {
         // streaming (the bandwidth-preserving rule of Section IV-D's design
         // discussion). The active group resumes as soon as its banks free
         // up.
-        if self.reference_picks {
-            self.pick_bypass_reference(view)
-        } else {
-            self.pick_bypass(view, room)
-        }
+        self.pick_bypass(view, room)
     }
 
     /// Everything a pick that finds nothing may change besides
@@ -888,11 +883,10 @@ impl Policy for WarpGroupPolicy {
         let before = self.stuck_state();
         let caps = self.coord_cap_applied;
         let picked = self.pick_full(view);
-        self.settled = (picked.is_none() && !self.reference_picks && self.stuck_state() == before)
-            .then(|| Settled {
-                caps: self.coord_cap_applied - caps,
-                until: self.aging_deadline(view.now),
-            });
+        self.settled = (picked.is_none() && self.stuck_state() == before).then(|| Settled {
+            caps: self.coord_cap_applied - caps,
+            until: self.aging_deadline(view.now),
+        });
         picked
     }
 
@@ -978,14 +972,12 @@ pub fn make_policy(kind: SchedulerKind, mem: &MemConfig) -> Box<dyn Policy> {
         return p;
     }
     let (flags, name) = WgFlags::for_kind(kind).expect("WG-family kind");
-    let mut p = WarpGroupPolicy::with_age_threshold(
+    Box::new(WarpGroupPolicy::with_age_threshold(
         flags,
         name,
         mem.banks_per_channel,
         mem.gmc_age_threshold,
-    );
-    p.set_reference_picks(mem.reference_picks);
-    Box::new(p)
+    ))
 }
 
 #[cfg(test)]
@@ -1522,8 +1514,8 @@ mod tests {
         assert_eq!(c[0], 1, "one group selected");
     }
 
-    /// Seeded-loop property test: drive an indexed policy and a
-    /// `reference_picks` twin through the same random operation stream —
+    /// Seeded-loop property test: drive an indexed policy and its
+    /// reference-scan twin through the same random operation stream —
     /// arrivals, picks under randomly mutated bank snapshots, picks in the
     /// saturated state where no pending request has command-queue room,
     /// coordination, sharing, group removal, aging — for every combination
@@ -1544,7 +1536,7 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(0x1D3A ^ (combo as u64) << 8 ^ seed);
                 let mut idx = WarpGroupPolicy::with_age_threshold(flags, "idx", 16, 500);
                 let mut rf = WarpGroupPolicy::with_age_threshold(flags, "ref", 16, 500);
-                rf.set_reference_picks(true);
+                rf.reference = true;
                 let mut f = Fix::new();
                 let mut now: Cycle = 0;
                 let mut live: Vec<WarpGroupId> = Vec::new();

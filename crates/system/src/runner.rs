@@ -152,6 +152,24 @@ pub const PAPER_SCHEDULERS: &[SchedulerKind] = &[
     SchedulerKind::WgW,
 ];
 
+/// The audited ladder the bit-exactness suites and `ladderhash` run: every
+/// scheduler the paper evaluates, plus the WAFCFS and SBWAS baselines it
+/// compares against.
+pub const LADDER: &[SchedulerKind] = &[
+    SchedulerKind::Gmc,
+    SchedulerKind::Wg,
+    SchedulerKind::WgM,
+    SchedulerKind::WgBw,
+    SchedulerKind::WgW,
+    SchedulerKind::Wafcfs,
+    SchedulerKind::Sbwas { alpha_q: 2 },
+];
+
+/// The busy irregular benchmarks: the read-heavy kernels whose runs are
+/// dominated by in-flight memory traffic rather than idle-cycle
+/// fast-forwarding (nw finishes in milliseconds and is left out).
+pub const BUSY: &[&str] = &["sp", "kmeans", "spmv", "sssp", "bfs"];
+
 /// Names of the irregular benchmarks, in the paper's presentation order.
 pub fn irregular_names() -> Vec<&'static str> {
     ldsim_workloads::IRREGULAR.iter().map(|p| p.name).collect()

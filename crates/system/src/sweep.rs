@@ -59,8 +59,8 @@ use std::path::Path;
 /// change alters simulation *results* (scheduler behaviour, timing, metric
 /// definitions, workload generation) so every cached cell self-invalidates;
 /// leave it alone for pure orchestration/rendering changes. The bit-exact
-/// test ladders (fastforward, reference_picks, determinism) are the
-/// reviewers' guide: if they needed re-blessing, bump the salt.
+/// test ladders (fastforward, determinism) and the ladderhash goldens are
+/// the guide: if they needed re-blessing, bump the salt.
 pub const ENGINE_SALT: &str = "ldsim-engine-2026-08-07";
 
 /// Shard count of a fresh cell cache; an existing cache keeps the count
@@ -182,8 +182,8 @@ impl Cell {
 /// `CacheConfig`, `MemConfig`, `TimingParams`, or `ClockDomain` without
 /// deciding how it fingerprints is a compile error (E0027), not a silent
 /// stale-cache hazard. The hash write order is frozen — it is the cache-key
-/// wire format; append new fields at the end of their section and bump
-/// [`ENGINE_SALT`] only if the *semantics* changed.
+/// wire format, pinned by a test; append new fields at the end of their
+/// section and bump [`ENGINE_SALT`] only if the *semantics* changed.
 pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
     // Three deliberate exclusions: `instruction_limit`, which the runner
     // derives deterministically from (benchmark, scale, seed) — already
@@ -257,7 +257,6 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
         bursts_per_access,
         page_policy,
         refresh_enabled,
-        reference_picks,
     } = mem;
     h.write_u64(*num_channels as u64)
         .write_u64(*banks_per_channel as u64)
@@ -277,7 +276,9 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
             PagePolicy::Closed => 1,
         })
         .write_u8(*refresh_enabled as u8)
-        .write_u8(*reference_picks as u8);
+        // The byte of a retired flag (reference-scan picks), always off:
+        // writing it keeps every cell key where it was.
+        .write_u8(0);
     let TimingParams {
         t_rc_ns,
         t_rcd_ns,
@@ -728,9 +729,33 @@ mod tests {
             ..SimConfig::default()
         };
         assert_ne!(base, config_fingerprint(&c));
-        let mut c = SimConfig::default();
-        c.mem.reference_picks = true;
-        assert_ne!(base, config_fingerprint(&c));
+    }
+
+    /// The cache-key wire format, pinned: a fingerprint and cell keys as
+    /// the write order above produces them. These literals change only
+    /// with an [`ENGINE_SALT`] bump or a deliberate key-format change —
+    /// a key that moves silently re-simulates every cached cell.
+    #[test]
+    fn cache_key_format_is_pinned() {
+        assert_eq!(
+            config_fingerprint(&SimConfig::default()),
+            0x9973_ef4e_afc1_f0cc
+        );
+        assert_eq!(
+            config_fingerprint(&SimConfig::default().with_scheduler(SchedulerKind::WgW)),
+            0x9951_6896_0e94_b212
+        );
+        let opts = RunOpts::default();
+        let c = Cell::new("spmv", Scale::Small, 1, SchedulerKind::WgW);
+        assert_eq!(c.key(opts), 0x9ba4_7786_3315_d593);
+        assert_eq!(
+            c.with_tweak(CfgTweak::Backend(Preset::Hbm)).key(opts),
+            0x924c_3e80_dad9_8119
+        );
+        assert_eq!(
+            c.with_tweak(CfgTweak::ClosedPage).key(opts),
+            0x2b55_3d75_a850_94b7
+        );
     }
 
     #[test]

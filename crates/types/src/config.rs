@@ -224,11 +224,6 @@ pub struct MemConfig {
     /// Model periodic all-bank refresh (tREFI/tRFC). On by default; the
     /// ablation harness can disable it to quantify its ~4-6% cost.
     pub refresh_enabled: bool,
-    /// Route WG-family scheduler picks through the original scan-based
-    /// implementations instead of the incremental indexes (DESIGN.md §13).
-    /// Bit-exact with the indexed paths by contract — this flag exists so
-    /// differential tests and `perfreport` can prove it. Off by default.
-    pub reference_picks: bool,
 }
 
 impl Default for MemConfig {
@@ -250,7 +245,6 @@ impl Default for MemConfig {
             bursts_per_access: 2,
             page_policy: PagePolicy::Open,
             refresh_enabled: true,
-            reference_picks: false,
         }
     }
 }
@@ -476,13 +470,6 @@ impl SimConfig {
     /// Enable or disable idle-cycle fast-forwarding (on by default).
     pub fn with_fast_forward(mut self, on: bool) -> Self {
         self.fast_forward = on;
-        self
-    }
-
-    /// Route WG-family picks through the reference scan paths
-    /// (differential testing; see [`MemConfig::reference_picks`]).
-    pub fn with_reference_picks(mut self, on: bool) -> Self {
-        self.mem.reference_picks = on;
         self
     }
 

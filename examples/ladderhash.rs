@@ -16,19 +16,7 @@
 //! Usage: `cargo run --release --example ladderhash [tiny|small|full]`
 
 use ldsim::prelude::*;
-
-const LADDER: &[SchedulerKind] = &[
-    SchedulerKind::Gmc,
-    SchedulerKind::Wg,
-    SchedulerKind::WgM,
-    SchedulerKind::WgBw,
-    SchedulerKind::WgW,
-    SchedulerKind::Wafcfs,
-    SchedulerKind::Sbwas { alpha_q: 2 },
-];
-
-/// The busy, read-heavy irregular kernels the `full` mode digests.
-const BUSY: &[&str] = &["sp", "kmeans", "spmv", "sssp", "bfs"];
+use ldsim::system::runner::{irregular_names, BUSY, LADDER};
 
 /// A digested machine: label, scheduler, perfect coalescing.
 type Machine = (String, SchedulerKind, bool);
@@ -50,7 +38,7 @@ fn main() {
             } else {
                 Scale::Tiny
             },
-            ldsim::system::runner::irregular_names(),
+            irregular_names(),
             LADDER
                 .iter()
                 .chain([&SchedulerKind::WgShared])

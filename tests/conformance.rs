@@ -5,18 +5,7 @@
 
 use ldsim::prelude::*;
 use ldsim::system::differential_check;
-
-/// The audited ladder: every scheduler the paper evaluates, plus the
-/// baselines it compares against.
-const LADDER: &[SchedulerKind] = &[
-    SchedulerKind::Gmc,
-    SchedulerKind::Wg,
-    SchedulerKind::WgM,
-    SchedulerKind::WgBw,
-    SchedulerKind::WgW,
-    SchedulerKind::Wafcfs,
-    SchedulerKind::Sbwas { alpha_q: 2 },
-];
+use ldsim::system::runner::LADDER;
 
 #[test]
 fn ladder_runs_violation_free_at_tiny() {

@@ -8,19 +8,8 @@
 //! here is a simulation-correctness bug, not a performance regression.
 
 use ldsim::prelude::*;
+use ldsim::system::runner::LADDER;
 use ldsim::util::parallel_map;
-
-/// Same ladder as the conformance suite: every scheduler the paper
-/// evaluates, plus the baselines it compares against.
-const LADDER: &[SchedulerKind] = &[
-    SchedulerKind::Gmc,
-    SchedulerKind::Wg,
-    SchedulerKind::WgM,
-    SchedulerKind::WgBw,
-    SchedulerKind::WgW,
-    SchedulerKind::Wafcfs,
-    SchedulerKind::Sbwas { alpha_q: 2 },
-];
 
 /// Run one benchmark × scheduler pair at `scale` with fast-forward on and
 /// off, and demand bit-exact results and traces. Histograms stay armed, so

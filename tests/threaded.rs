@@ -17,21 +17,10 @@
 //! the exemption itself.
 
 use ldsim::prelude::*;
+use ldsim::system::runner::LADDER;
 use ldsim::system::shard::ShardMap;
 use ldsim::system::sweep::{config_fingerprint, run_sweep, Cell, SweepConfig, DEFAULT_SHARDS};
 use ldsim::util::parallel_map;
-
-/// Same ladder as the conformance/fastforward suites: every scheduler the
-/// paper evaluates, plus the baselines it compares against.
-const LADDER: &[SchedulerKind] = &[
-    SchedulerKind::Gmc,
-    SchedulerKind::Wg,
-    SchedulerKind::WgM,
-    SchedulerKind::WgBw,
-    SchedulerKind::WgW,
-    SchedulerKind::Wafcfs,
-    SchedulerKind::Sbwas { alpha_q: 2 },
-];
 
 /// Thread counts under test: serial, a 2-wide pool (partitions split
 /// between the caller and one worker), and a 6-wide pool (one worker per
