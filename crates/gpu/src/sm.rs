@@ -193,7 +193,6 @@ impl Sm {
         mapper: AddressMapper,
         programs: Vec<WarpProgram>,
     ) -> Self {
-        assert!(programs.len() <= cfg.max_warps_per_sm.max(programs.len()));
         let warps = programs
             .iter()
             .map(|_| WarpCtx {

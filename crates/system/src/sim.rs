@@ -106,6 +106,8 @@ impl Simulator {
     /// coalesces to up to one line per lane and issues only when the L1
     /// MSHR can take all of its new lines at once, so a wider gather could
     /// never issue and its warp would spin to `max_cycles`.
+    ///
+    /// If the memory geometry is one [`AddressMapper::new`] rejects.
     pub fn new(mut cfg: SimConfig, kernel: &KernelProgram) -> Self {
         assert!(
             cfg.gpu.xbar_latency >= 1,
@@ -1143,12 +1145,10 @@ mod tests {
 
     #[test]
     fn machines_beyond_sixteen_channels_run() {
-        // The timing grammar accepts up to 256 channels; loads spread over
+        // `AddressMapper::new` accepts up to 256 channels; loads spread over
         // more than 16 of them must still issue.
-        let (mem, clock) = ldsim_types::config::parse_timing_string("nch=32").unwrap();
         let mut cfg = SimConfig::default();
-        cfg.mem.num_channels = mem.num_channels;
-        cfg.clock = clock;
+        cfg.mem.num_channels = 32;
         let kernel = ldsim_workloads::benchmark("bfs", ldsim_workloads::Scale::Tiny, 1).generate();
         let r = Simulator::new(cfg, &kernel).run();
         assert!(r.finished && r.conserves_requests());

@@ -24,13 +24,14 @@
 //! (scheduler, run options, and [`CfgTweak`] applied). Two cells with the
 //! same key are the same simulation by construction — a tweak that resolves
 //! to the default config (e.g. `GmcMaxStreak(16)`) dedupes against the
-//! untweaked cell, which is correct: the config *is* the semantics. Only
-//! two knobs are excluded from the fingerprint: `instruction_limit`, which
-//! the runner derives deterministically from (benchmark, scale, seed) —
-//! already part of the key — and `sim_threads`, which changes how a cell is
-//! executed but (provably, see tests/threaded.rs) not a bit of what it
-//! computes. [`CfgTweak`] is a closed enum (not a closure) precisely so no
-//! tweak can sneak an unhashed knob past the key.
+//! untweaked cell, which is correct: the config *is* the semantics. Three
+//! knobs are excluded from the fingerprint: `instruction_limit`, which the
+//! runner derives deterministically from (benchmark, scale, seed) — already
+//! part of the key — and `sim_threads` and `epoch_max`, which change how a
+//! cell is executed but (provably, see tests/threaded.rs) not a bit of what
+//! it computes. Retired fields still write their old bytes as constants, so
+//! retiring one moves no key. [`CfgTweak`] is a closed enum (not a closure)
+//! precisely so no tweak can sneak an unhashed knob past the key.
 //!
 //! ## Cache & resume semantics
 //!
@@ -172,10 +173,12 @@ impl Cell {
     }
 }
 
-/// Stable FNV-1a digest over every [`SimConfig`] knob (except the
-/// kernel-derived `instruction_limit` — see the module docs). Any default
-/// change, tweak, or scheduler switch changes the fingerprint, so cached
-/// cells keyed on it self-invalidate.
+/// Stable FNV-1a digest over every [`SimConfig`] knob except three (the
+/// kernel-derived `instruction_limit` and the execution-strategy knobs
+/// `sim_threads` and `epoch_max` — see the module docs), plus constant
+/// bytes where retired fields (reference-scan picks, warp size, resident
+/// warps per SM) used to be. Any default change, tweak, or scheduler switch
+/// changes the fingerprint, so cached cells keyed on it self-invalidate.
 ///
 /// Exhaustive *by construction*: every config struct is fully destructured
 /// (no `..` rest patterns), so adding a field to `SimConfig`, `GpuConfig`,
@@ -211,8 +214,6 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
     // GPU side.
     let GpuConfig {
         num_sms,
-        warp_size,
-        max_warps_per_sm,
         l1,
         l2_slice,
         xbar_latency,
@@ -220,8 +221,10 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
         l2_bypass,
     } = gpu;
     h.write_u64(*num_sms as u64)
-        .write_u64(*warp_size as u64)
-        .write_u64(*max_warps_per_sm as u64)
+        // The words of two retired knobs (warp size and resident warps per
+        // SM), both always 32: writing them keeps every cell key where it was.
+        .write_u64(32)
+        .write_u64(32)
         .write_u64(*xbar_latency)
         .write_u64(*xbar_queue as u64)
         .write_u8(*l2_bypass as u8);
@@ -749,6 +752,14 @@ mod tests {
         let c = Cell::new("spmv", Scale::Small, 1, SchedulerKind::WgW);
         assert_eq!(c.key(opts), 0x9ba4_7786_3315_d593);
         assert_eq!(
+            c.with_tweak(CfgTweak::Backend(Preset::Gddr3)).key(opts),
+            0xd516_e79f_19c7_c6b7
+        );
+        assert_eq!(
+            c.with_tweak(CfgTweak::Backend(Preset::Gddr6)).key(opts),
+            0x1f80_0bc3_2a7a_fd16
+        );
+        assert_eq!(
             c.with_tweak(CfgTweak::Backend(Preset::Hbm)).key(opts),
             0x924c_3e80_dad9_8119
         );
@@ -780,11 +791,10 @@ mod tests {
 
     #[test]
     fn presets_and_single_knobs_produce_distinct_fingerprints() {
-        // Property over the whole timing/topology grammar: any two distinct
-        // presets, and any single knob nudged off its default, must land on
+        // Property over every device field a preset sets: any two distinct
+        // presets, and any single field nudged off its default, must land on
         // distinct fingerprints. A collision anywhere here is a silent
         // stale-cache hazard.
-        use ldsim_types::config::parse_timing_string;
         let mut prints: Vec<(String, u64)> =
             vec![("default".into(), config_fingerprint(&SimConfig::default()))];
         for p in Preset::ALL.iter().skip(1) {
@@ -793,39 +803,36 @@ mod tests {
                 config_fingerprint(&SimConfig::default().with_preset(*p)),
             ));
         }
-        // One single-key override per grammar knob, each off its default.
-        for s in [
-            "nch=5",
-            "nbk=8",
-            "nbkgrp=8",
-            "row=1024",
-            "bpa=4",
-            "CK=1.5",
-            "RC=41",
-            "RCD=13",
-            "RP=13",
-            "CL=13",
-            "RAS=29",
-            "RRD=6",
-            "WTR=6",
-            "FAW=24",
-            "RTP=3",
-            "WR=13",
-            "REFI=2000",
-            "RFC=120",
-            "WL=5",
-            "BL=4",
-            "RTRS=2",
-            "CCDL=4",
-            "CCDS=1",
-        ] {
-            let (mem, clock) = parse_timing_string(s).unwrap();
-            let cfg = SimConfig {
-                mem,
-                clock,
-                ..SimConfig::default()
-            };
-            prints.push((s.to_string(), config_fingerprint(&cfg)));
+        type Nudge = fn(&mut SimConfig);
+        let knobs: [(&str, Nudge); 23] = [
+            ("num_channels", |c| c.mem.num_channels = 5),
+            ("banks_per_channel", |c| c.mem.banks_per_channel = 8),
+            ("banks_per_group", |c| c.mem.banks_per_group = 8),
+            ("row_bytes", |c| c.mem.row_bytes = 1024),
+            ("bursts_per_access", |c| c.mem.bursts_per_access = 4),
+            ("tck_ns", |c| c.clock.tck_ns = 1.5),
+            ("t_rc_ns", |c| c.mem.timing.t_rc_ns = 41.0),
+            ("t_rcd_ns", |c| c.mem.timing.t_rcd_ns = 13.0),
+            ("t_rp_ns", |c| c.mem.timing.t_rp_ns = 13.0),
+            ("t_cas_ns", |c| c.mem.timing.t_cas_ns = 13.0),
+            ("t_ras_ns", |c| c.mem.timing.t_ras_ns = 29.0),
+            ("t_rrd_ns", |c| c.mem.timing.t_rrd_ns = 6.0),
+            ("t_wtr_ns", |c| c.mem.timing.t_wtr_ns = 6.0),
+            ("t_faw_ns", |c| c.mem.timing.t_faw_ns = 24.0),
+            ("t_rtp_ns", |c| c.mem.timing.t_rtp_ns = 3.0),
+            ("t_wr_ns", |c| c.mem.timing.t_wr_ns = 13.0),
+            ("t_refi_ns", |c| c.mem.timing.t_refi_ns = 2000.0),
+            ("t_rfc_ns", |c| c.mem.timing.t_rfc_ns = 120.0),
+            ("t_wl_ck", |c| c.mem.timing.t_wl_ck = 5),
+            ("t_burst_ck", |c| c.mem.timing.t_burst_ck = 4),
+            ("t_rtrs_ck", |c| c.mem.timing.t_rtrs_ck = 2),
+            ("t_ccdl_ck", |c| c.mem.timing.t_ccdl_ck = 4),
+            ("t_ccds_ck", |c| c.mem.timing.t_ccds_ck = 1),
+        ];
+        for (name, nudge) in knobs {
+            let mut cfg = SimConfig::default();
+            nudge(&mut cfg);
+            prints.push((name.to_string(), config_fingerprint(&cfg)));
         }
         for i in 0..prints.len() {
             for j in (i + 1)..prints.len() {

@@ -31,10 +31,6 @@
 //! log2 B)) mod 2^13`. The 256 B channel-interleave block and the 13 kept
 //! row bits are fixed across presets; everything else is config.
 //!
-//! The geometry round-trips through a small spec DSL
-//! ([`AddressMapper::spec`] / [`AddressMapper::from_spec`]), e.g. the
-//! default machine is `line=128:blk=256:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13`.
-//!
 //! Because the channel index is a hash-plus-modulo, the map is not
 //! injective per channel (distinct blocks can alias onto the same
 //! (channel, bank, row, col)); a timing model only needs the forward map to
@@ -47,8 +43,6 @@ use crate::ids::{BankId, ChannelId};
 const BLOCK_SHIFT: u32 = 8;
 /// Number of row-address bits kept (8192 rows per bank on Table II).
 const ROW_BITS: u32 = 13;
-/// The keys of [`AddressMapper::spec`], in render order.
-const SPEC_KEYS: [&str; 7] = ["line", "blk", "nch", "nbk", "grp", "rowblks", "rowbits"];
 
 /// A fully decoded physical address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,13 +89,36 @@ pub struct AddressMapper {
 }
 
 impl AddressMapper {
+    /// Every machine a simulation builds passes through here, so this is
+    /// where its geometry is checked: a geometry the mapper or a controller
+    /// cannot serve panics with a named message.
     pub fn new(mem: &MemConfig, line_bytes: usize) -> Self {
-        assert!(line_bytes.is_power_of_two());
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line_bytes must be a power of two"
+        );
         assert!(
             line_bytes <= (1 << BLOCK_SHIFT),
             "line must fit in the 256 B channel-interleave block"
         );
-        assert!(mem.banks_per_channel.is_power_of_two());
+        assert!(
+            mem.banks_per_channel.is_power_of_two(),
+            "banks_per_channel must be a power of two"
+        );
+        // A controller keeps one bit per bank in its ready masks, and
+        // channel ids are bytes.
+        assert!(
+            mem.banks_per_channel <= MAX_BANKS,
+            "banks_per_channel must be at most {MAX_BANKS}"
+        );
+        assert!(
+            (1..=MAX_CHANNELS).contains(&mem.num_channels),
+            "num_channels must be 1 to {MAX_CHANNELS}"
+        );
+        assert!(
+            mem.banks_per_channel.is_multiple_of(mem.banks_per_group),
+            "banks_per_group must divide banks_per_channel"
+        );
         let blocks_per_row = mem.row_bytes >> BLOCK_SHIFT;
         assert!(
             blocks_per_row >= 1 && blocks_per_row.is_power_of_two(),
@@ -190,91 +207,6 @@ impl AddressMapper {
 
     pub fn num_banks(&self) -> usize {
         self.num_banks as usize
-    }
-
-    /// Render the geometry as the canonical spec string, e.g. the Table II
-    /// machine is `line=128:blk=256:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13`.
-    /// `parse(render(m)) == m` exactly ([`AddressMapper::from_spec`]).
-    pub fn spec(&self) -> String {
-        format!(
-            "line={}:blk={}:nch={}:nbk={}:grp={}:rowblks={}:rowbits={}",
-            1u64 << self.line_shift,
-            1u64 << BLOCK_SHIFT,
-            self.num_channels,
-            self.num_banks,
-            self.banks_per_group,
-            1u64 << self.bank_shift,
-            (self.row_mask + 1).trailing_zeros(),
-        )
-    }
-
-    /// Parse a spec string produced by [`AddressMapper::spec`]. All seven
-    /// keys must be present exactly once; `blk` must be 256 (the paper's
-    /// channel-interleave block is fixed) and the power-of-two keys are
-    /// validated.
-    pub fn from_spec(spec: &str) -> Result<Self, String> {
-        let mut vals = [None::<u64>; 7];
-        for part in spec.split(':') {
-            let (key, val) = part
-                .split_once('=')
-                .ok_or_else(|| format!("addr spec: '{part}' is not key=value"))?;
-            let idx = SPEC_KEYS
-                .iter()
-                .position(|k| *k == key)
-                .ok_or_else(|| format!("addr spec: unknown key '{key}'"))?;
-            if vals[idx].is_some() {
-                return Err(format!("addr spec: duplicate key '{key}'"));
-            }
-            let v: u64 = val
-                .parse()
-                .ok()
-                .filter(|&v| v > 0)
-                .ok_or_else(|| format!("addr spec: {key}={val} is not a positive integer"))?;
-            vals[idx] = Some(v);
-        }
-        let get =
-            |i: usize| vals[i].ok_or_else(|| format!("addr spec: missing key '{}'", SPEC_KEYS[i]));
-        let (line, blk, nch, nbk, grp, rowblks, rowbits) = (
-            get(0)?,
-            get(1)?,
-            get(2)?,
-            get(3)?,
-            get(4)?,
-            get(5)?,
-            get(6)?,
-        );
-        if blk != 1 << BLOCK_SHIFT {
-            return Err(format!("addr spec: blk={blk} must be {}", 1 << BLOCK_SHIFT));
-        }
-        for (k, v) in [("line", line), ("nbk", nbk), ("rowblks", rowblks)] {
-            if !v.is_power_of_two() {
-                return Err(format!("addr spec: {k}={v} is not a power of two"));
-            }
-        }
-        if line > blk {
-            return Err(format!("addr spec: line={line} exceeds blk={blk}"));
-        }
-        // Bank and channel ids are bytes: larger counts would alias.
-        if nbk > MAX_BANKS as u64 {
-            return Err(format!("addr spec: nbk={nbk} exceeds {MAX_BANKS}"));
-        }
-        if nch > MAX_CHANNELS as u64 {
-            return Err(format!("addr spec: nch={nch} exceeds {MAX_CHANNELS}"));
-        }
-        if rowbits == 0 || rowbits > 31 {
-            return Err(format!("addr spec: rowbits={rowbits} out of range"));
-        }
-        let line_shift = line.trailing_zeros();
-        Ok(Self {
-            num_channels: nch,
-            num_banks: nbk,
-            banks_per_group: grp,
-            line_shift,
-            sub_bits: BLOCK_SHIFT - line_shift,
-            bank_shift: rowblks.trailing_zeros(),
-            bank_bits: nbk.trailing_zeros(),
-            row_mask: ((1u64 << rowbits) - 1) as u32,
-        })
     }
 }
 
@@ -443,84 +375,41 @@ mod tests {
         assert!(a.same_row(&b));
     }
 
-    #[test]
-    fn spec_round_trips_for_every_preset() {
-        for p in Preset::ALL {
-            let (mem, _) = p.mem_and_clock();
-            let m = AddressMapper::new(&mem, 128);
-            let spec = m.spec();
-            let m2 =
-                AddressMapper::from_spec(&spec).unwrap_or_else(|e| panic!("{}: {e}", p.name()));
-            assert_eq!(m, m2, "{} spec round trip: {spec}", p.name());
-            assert_eq!(m2.spec(), spec, "{} render not canonical", p.name());
+    fn mem_with(
+        num_channels: usize,
+        banks_per_channel: usize,
+        banks_per_group: usize,
+    ) -> MemConfig {
+        MemConfig {
+            num_channels,
+            banks_per_channel,
+            banks_per_group,
+            ..MemConfig::default()
         }
     }
 
     #[test]
-    fn default_spec_is_the_documented_string() {
-        assert_eq!(
-            mapper().spec(),
-            "line=128:blk=256:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13"
-        );
+    #[should_panic(expected = "num_channels must be 1 to 256")]
+    fn more_channels_than_a_byte_names_are_rejected() {
+        AddressMapper::new(&mem_with(257, 16, 4), 128);
     }
 
     #[test]
-    fn spec_survives_seeded_fuzzing() {
-        // Mutated specs of every preset's mapper at four line sizes: no
-        // panic, every error carries the `addr spec:` prefix, and every
-        // accepted spec round-trips parse -> render -> parse.
-        let mut rng = ldsim_util::StdRng::seed_from_u64(0xadd7_5eed);
-        let (mut accepted, mut rejected) = (0u32, 0u32);
-        for p in Preset::ALL {
-            let (mem, _) = p.mem_and_clock();
-            for line in [32, 64, 128, 256] {
-                let spec = AddressMapper::new(&mem, line).spec();
-                for _ in 0..1_500 {
-                    let s = crate::config::mutate_key_values(&spec, &SPEC_KEYS, &mut rng);
-                    match AddressMapper::from_spec(&s) {
-                        Ok(m) => {
-                            accepted += 1;
-                            let r = m.spec();
-                            let back = AddressMapper::from_spec(&r)
-                                .unwrap_or_else(|e| panic!("render of {s:?} is refused: {e}"));
-                            assert_eq!(back, m, "{s:?} did not round-trip via {r:?}");
-                            assert_eq!(back.spec(), r, "{s:?}");
-                        }
-                        Err(e) => {
-                            rejected += 1;
-                            assert!(e.starts_with("addr spec: "), "{s:?}: unnamed error {e:?}");
-                        }
-                    }
-                }
-            }
-        }
-        assert!(
-            accepted > 500 && rejected > 2_000,
-            "{accepted} accepted, {rejected} rejected"
-        );
+    #[should_panic(expected = "banks_per_channel must be at most 64")]
+    fn more_banks_than_a_ready_mask_holds_are_rejected() {
+        AddressMapper::new(&mem_with(6, 128, 4), 128);
     }
 
     #[test]
-    fn spec_rejects_malformed_input() {
-        for bad in [
-            "line=128",                                                          // missing keys
-            "line=128:blk=256:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13:x=1",      // unknown
-            "line=128:line=128:blk=256:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13", // dup
-            "line=96:blk=256:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13",           // not pow2
-            "line=128:blk=512:nch=6:nbk=16:grp=4:rowblks=8:rowbits=13",          // blk fixed
-            "line=128:blk=256:nch=0:nbk=16:grp=4:rowblks=8:rowbits=13",          // zero
-            "line=128:blk=256:nch=6:nbk=512:grp=4:rowblks=8:rowbits=13",         // > 64 banks
-            "line=128:blk=256:nch=300:nbk=16:grp=4:rowblks=8:rowbits=13",        // > 256 ch
-        ] {
-            assert!(AddressMapper::from_spec(bad).is_err(), "accepted: {bad}");
-        }
+    #[should_panic(expected = "banks_per_group must divide banks_per_channel")]
+    fn bank_groups_that_do_not_divide_the_banks_are_rejected() {
+        AddressMapper::new(&mem_with(6, 16, 3), 128);
     }
 
     #[test]
-    fn spec_accepts_the_largest_geometry() {
-        let spec = "line=128:blk=256:nch=256:nbk=64:grp=4:rowblks=8:rowbits=13";
-        let m = AddressMapper::from_spec(spec).unwrap();
-        assert_eq!(m.spec(), spec);
+    fn the_largest_geometry_constructs() {
+        let m = AddressMapper::new(&mem_with(256, 64, 4), 128);
+        assert_eq!((m.num_channels(), m.num_banks()), (256, 64));
     }
 
     #[test]
